@@ -22,8 +22,6 @@ import requests
 
 from .windowing import TimedUtterance
 
-DEFAULT_MAX_CONCURRENCY = 4
-
 
 class Role(Enum):
     CAPTIONER = "captioner"
@@ -74,7 +72,7 @@ class GenerationParams:
     seed: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BackendRequest:
     role: Role
     session_id: str
@@ -83,6 +81,8 @@ class BackendRequest:
     media_ref: str | None = None
     frame_timestamps_s: tuple[float, ...] | None = None
     params: GenerationParams = field(default_factory=GenerationParams)
+    # hashed once here; cache keys, cache records and fixture lookups all read it
+    prompt_hash: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.prompt:
@@ -91,10 +91,7 @@ class BackendRequest:
             raise ValueError(f"{self.role.value} requests must carry a media_ref")
         if self.role is Role.REASONER and self.media_ref is not None:
             raise ValueError("reasoner requests carry a prompt only, no media_ref")
-
-    @property
-    def prompt_hash(self) -> str:
-        return prompt_sha256(self.prompt)
+        object.__setattr__(self, "prompt_hash", prompt_sha256(self.prompt))
 
 
 @dataclass(frozen=True)
@@ -170,6 +167,7 @@ class Backend(ABC):
     """A model endpoint serving one or more roles."""
 
     backend_id: str
+    in_process = False  # True: the executor calls complete inline, not on its thread pool
 
     @abstractmethod
     def complete(self, request: BackendRequest) -> BackendResponse:
@@ -179,29 +177,31 @@ class Backend(ABC):
 class MockBackend(Backend):
     """Deterministic fixture-backed backend; identical request, identical reply.
 
-    Thread-safe; keeps a call counter so tests can assert cache behavior.
+    Given a fixtures path, it parses the file on its first request, so a run
+    answered from cache never reads it. Thread-safe; keeps a call counter so
+    tests can assert cache behavior.
     """
 
-    def __init__(
-        self,
-        store: FixtureStore,
-        backend_id: str = "mock",
-        max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-    ):
-        self._store = store
+    in_process = True
+
+    def __init__(self, store: FixtureStore | str | Path, backend_id: str = "mock"):
+        if not isinstance(store, FixtureStore) and not Path(store).is_file():
+            raise FileNotFoundError(f"fixtures file not found: {store}")
+        self._store = store  # a path until the first request parses it
         self.backend_id = backend_id
-        self._limiter = threading.BoundedSemaphore(max_concurrency)
         self._lock = threading.Lock()
         self.call_count = 0
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        with self._limiter:
-            with self._lock:
-                self.call_count += 1
-            text = self._store.lookup(
-                request.role, request.session_id, request.segment_index, request.prompt_hash
-            )
-            return BackendResponse(text=text, latency_ms=0.0, attempt=1, backend_id=self.backend_id)
+        with self._lock:
+            self.call_count += 1
+            if not isinstance(self._store, FixtureStore):
+                self._store = FixtureStore.load_jsonl(self._store)
+            store = self._store
+        text = store.lookup(
+            request.role, request.session_id, request.segment_index, request.prompt_hash
+        )
+        return BackendResponse(text=text, latency_ms=0.0, attempt=1, backend_id=self.backend_id)
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,6 @@ class HttpBackendConfig:
     timeout_s: float = 60.0
     max_retries: int = 2
     backoff_s: float = 0.25
-    max_concurrency: int = DEFAULT_MAX_CONCURRENCY
 
 
 class HttpChatBackend(Backend):
@@ -221,14 +220,20 @@ class HttpChatBackend(Backend):
     Sends ``POST {base_url}/v1/chat/completions`` with the prompt as a single
     user message. Session/segment/media context rides in a ``metadata`` object
     that standard servers ignore and fixture-replay servers key on. Transport
-    failures retry with exponential backoff up to max_retries.
+    failures retry with exponential backoff up to max_retries. Each calling
+    thread gets its own ``requests.Session``, made on its first request.
     """
 
     def __init__(self, config: HttpBackendConfig, backend_id: str | None = None):
         self.config = config
         self.backend_id = backend_id if backend_id is not None else f"http:{config.model}"
-        self._limiter = threading.BoundedSemaphore(config.max_concurrency)
-        self._session = requests.Session()
+        self._local = threading.local()
+
+    def _session(self) -> requests.Session:
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _body(self, request: BackendRequest) -> dict:
         body: dict[str, Any] = {
@@ -257,7 +262,7 @@ class HttpChatBackend(Backend):
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         try:
-            resp = self._session.post(
+            resp = self._session().post(
                 f"{self.config.base_url.rstrip('/')}/v1/chat/completions",
                 json=body,
                 headers=headers,
@@ -280,38 +285,24 @@ class HttpChatBackend(Backend):
         started = time.perf_counter()
         attempts = self.config.max_retries + 1
         last_error: BackendError | None = None
-        with self._limiter:
-            for attempt in range(1, attempts + 1):
-                try:
-                    text = self._post_once(body)
-                except (BackendTimeoutError, TransportError) as exc:
-                    last_error = exc
-                    if attempt <= self.config.max_retries:
-                        time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
-                    continue
-                latency_ms = (time.perf_counter() - started) * 1000.0
-                return BackendResponse(
-                    text=text, latency_ms=latency_ms, attempt=attempt, backend_id=self.backend_id
-                )
+        for attempt in range(1, attempts + 1):
+            try:
+                text = self._post_once(body)
+            except (BackendTimeoutError, TransportError) as exc:
+                last_error = exc
+                if attempt <= self.config.max_retries:
+                    time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
+                continue
+            latency_ms = (time.perf_counter() - started) * 1000.0
+            return BackendResponse(
+                text=text, latency_ms=latency_ms, attempt=attempt, backend_id=self.backend_id
+            )
         assert last_error is not None
         raise BackendExhaustedError(attempts=attempts, last_error=last_error)
 
 
 # ---------------------------------------------------------------------------
-# role entry points
-
-
-def caption(backend: Backend, request: BackendRequest) -> BackendResponse:
-    """Fetch a video caption; text is returned verbatim aside from outer whitespace."""
-    if request.role is not Role.CAPTIONER:
-        raise ValueError(f"caption() needs a captioner request, got {request.role.value}")
-    response = backend.complete(request)
-    return BackendResponse(
-        text=response.text.strip(),
-        latency_ms=response.latency_ms,
-        attempt=response.attempt,
-        backend_id=response.backend_id,
-    )
+# transcript wire format
 
 
 def parse_utterances_json(text: str) -> list[TimedUtterance]:
@@ -340,21 +331,6 @@ def parse_utterances_json(text: str) -> list[TimedUtterance]:
                 f"utterance timestamps out of order: {prev.start_s} then {cur.start_s}"
             )
     return utterances
-
-
-def transcribe(backend: Backend, request: BackendRequest) -> list[TimedUtterance]:
-    """Fetch the session transcript as timed utterances sorted by start time."""
-    if request.role is not Role.TRANSCRIBER:
-        raise ValueError(f"transcribe() needs a transcriber request, got {request.role.value}")
-    response = backend.complete(request)
-    return parse_utterances_json(response.text)
-
-
-def reason(backend: Backend, request: BackendRequest) -> BackendResponse:
-    """Run one text-reasoning completion."""
-    if request.role is not Role.REASONER:
-        raise ValueError(f"reason() needs a reasoner request, got {request.role.value}")
-    return backend.complete(request)
 
 
 def utterances_to_json(utterances: Iterable[TimedUtterance]) -> str:

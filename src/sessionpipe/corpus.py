@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -97,6 +98,16 @@ class ActivityTaxonomy:
 
     def __contains__(self, label: str) -> bool:
         return label in self.labels
+
+    @cached_property
+    def match_forms(self) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
+        """(normalized label, label) and (normalized alias, target) pairs, built once."""
+        from .parsing import normalize  # parsing imports this module
+
+        return (
+            tuple((normalize(label), label) for label in self.labels),
+            tuple((normalize(alias), target) for alias, target in self.aliases.items()),
+        )
 
     def canonical(self, name: str) -> str | None:
         """Resolve a label or alias (case-insensitive) to its canonical label."""

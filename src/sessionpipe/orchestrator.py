@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -22,7 +24,6 @@ from .backends import (
     Backend,
     BackendError,
     BackendRequest,
-    FixtureStore,
     GenerationParams,
     HttpBackendConfig,
     HttpChatBackend,
@@ -51,6 +52,8 @@ from .windowing import Segment
 
 ALL_MODES = tuple(RefinementMode)
 ALL_TASKS = tuple(TaskKind)
+# modes that read the transcript, and so run once per chunk length
+TRANSCRIPT_MODES = frozenset({RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL})
 
 _ROLE_CACHE_FILES = {
     Role.CAPTIONER: "captions.jsonl",
@@ -98,8 +101,7 @@ class RunConfig:
         self.chunk_lens = tuple(sorted(set(self.chunk_lens)))
         if not self.modes or not self.tasks:
             raise ValueError("need at least one mode and one task")
-        needs_chunks = {RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL} & set(self.modes)
-        if needs_chunks and not self.chunk_lens:
+        if TRANSCRIPT_MODES & set(self.modes) and not self.chunk_lens:
             raise ValueError("chunk_lens must be non-empty for transcript-using modes")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
@@ -218,6 +220,7 @@ class ResponseCache:
     def __init__(self, cache_dir: Path | None):
         self._dir = cache_dir
         self._records: dict[str, dict] = {}
+        self._dirty = False
         if cache_dir is not None and cache_dir.is_dir():
             for fname in _ROLE_CACHE_FILES.values():
                 path = cache_dir / fname
@@ -234,19 +237,31 @@ class ResponseCache:
 
     def put(self, record: dict) -> None:
         self._records[record["key"]] = record
+        self._dirty = True
 
     def flush(self) -> None:
+        """Rewrite the role files, if changed, each via a temp file and rename."""
         if self._dir is None:
+            return
+        paths = {role: self._dir / fname for role, fname in _ROLE_CACHE_FILES.items()}
+        if not self._dirty and all(path.exists() for path in paths.values()):
             return
         self._dir.mkdir(parents=True, exist_ok=True)
         by_role: dict[str, list[dict]] = {role.value: [] for role in Role}
         for record in self._records.values():
             by_role[record["role"]].append(record)
-        for role, fname in _ROLE_CACHE_FILES.items():
+        for role, path in paths.items():
             records = sorted(by_role[role.value], key=lambda r: r["key"])
-            with open(self._dir / fname, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+            tmp = path.with_name(path.name + ".tmp")
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    for record in records:
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+        self._dirty = False
 
 
 @dataclass(frozen=True)
@@ -286,8 +301,10 @@ class _Executor:
         ordered = sorted(todo.values(), key=lambda it: it.key)
         if not ordered:
             return
-        with ThreadPoolExecutor(max_workers=self._concurrency) as pool:
-            for key, outcome in pool.map(call, ordered):
+        # in-process backends run inline; the pool is the only concurrency limit
+        inline = self._backend.in_process
+        with nullcontext() if inline else ThreadPoolExecutor(max_workers=self._concurrency) as pool:
+            for key, outcome in (map if inline else pool.map)(call, ordered):
                 item = todo[key]
                 if isinstance(outcome, BackendError):
                     self.errors[key] = outcome
@@ -310,15 +327,9 @@ def build_backend(cfg: RunConfig) -> Backend:
     if cfg.fixtures_path is not None and cfg.endpoint is not None:
         raise ValueError("configure either fixtures_path or endpoint, not both")
     if cfg.fixtures_path is not None:
-        store = FixtureStore.load_jsonl(cfg.fixtures_path)
-        return MockBackend(store, backend_id=cfg.backend_id or "mock", max_concurrency=cfg.concurrency)
+        return MockBackend(cfg.fixtures_path, backend_id=cfg.backend_id or "mock")
     if cfg.endpoint is not None:
-        http_cfg = HttpBackendConfig(
-            base_url=cfg.endpoint,
-            model=cfg.model,
-            api_key=cfg.api_key,
-            max_concurrency=cfg.concurrency,
-        )
+        http_cfg = HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key)
         return HttpChatBackend(http_cfg, backend_id=cfg.backend_id)
     raise ValueError("RunConfig needs a fixtures_path or an endpoint")
 
@@ -350,9 +361,7 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
     needs_captions = bool(
         {RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL} & set(cfg.modes)
     )
-    needs_transcripts = bool(
-        {RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL} & set(cfg.modes)
-    )
+    needs_transcripts = bool(TRANSCRIPT_MODES & set(cfg.modes))
 
     plans = [
         _SessionPlan(
@@ -466,12 +475,7 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
     for plan_index, plan in enumerate(plans):
         m = plan.manifest
         for mode in cfg.modes:
-            chunk_options: Sequence[int | None]
-            if mode in (RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL):
-                chunk_options = cfg.chunk_lens
-            else:
-                chunk_options = (None,)
-            for chunk_len in chunk_options:
+            for chunk_len in _chunk_options(mode, cfg):
                 for task in cfg.tasks:
                     if mode is RefinementMode.ZERO_SHOT:
                         prompt = build_task_prompt(mode, task, None, None, taxonomy, templates).rendered
@@ -566,6 +570,10 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
     return report
 
 
+def _chunk_options(mode: RefinementMode, cfg: RunConfig) -> Sequence[int | None]:
+    return cfg.chunk_lens if mode in TRANSCRIPT_MODES else (None,)
+
+
 def _config_echo(cfg: RunConfig) -> dict:
     return {
         "modes": [m.value for m in cfg.modes],
@@ -601,12 +609,7 @@ def evaluate_predictions(
 
     rows = []
     for mode in cfg.modes:
-        chunk_options: Sequence[int | None]
-        if mode in (RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL):
-            chunk_options = cfg.chunk_lens
-        else:
-            chunk_options = (None,)
-        for chunk_len in chunk_options:
+        for chunk_len in _chunk_options(mode, cfg):
             cells: dict[str, float | None] = {}
             per_class: dict[str, dict[str, float]] = {}
             n_sessions: dict[str, int] = {}

@@ -58,18 +58,19 @@ def parse_label(text: str, taxonomy: ActivityTaxonomy) -> ParsedLabel:
     earliest; a position tie between different labels yields Unknown.
     """
     norm = normalize(text)
+    labels, aliases = taxonomy.match_forms
 
-    for label in taxonomy.labels:
-        if norm == normalize(label):
+    for form, label in labels:
+        if norm == form:
             return ParsedLabel(label=label, tier=MatchTier.EXACT, raw=text)
 
-    for alias, target in taxonomy.aliases.items():
-        if norm == normalize(alias):
+    for form, target in aliases:
+        if norm == form:
             return ParsedLabel(label=target, tier=MatchTier.ALIAS, raw=text)
 
     occurrences: list[tuple[int, str]] = []
-    for label in taxonomy.labels:
-        pos = norm.find(normalize(label))
+    for form, label in labels:
+        pos = norm.find(form)
         if pos >= 0:
             occurrences.append((pos, label))
     if occurrences:

@@ -7,6 +7,7 @@ trailing partial window is kept iff it is at least half a window long, so a
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -179,17 +180,29 @@ def fill_chunks(
     chunks: Iterable[TranscriptChunk],
     utterances: Sequence[TimedUtterance],
 ) -> list[TranscriptChunk]:
-    """Fill planned chunks with aligned utterance text."""
+    """Fill planned chunks with aligned utterance text (as align_transcript).
+
+    Midpoints are sorted once; each chunk then takes its utterances by
+    bisection and joins them in input order.
+    """
     _check_sorted(utterances)
-    return [
-        replace(chunk, text=align_transcript(utterances, chunk.start_s, chunk.end_s))
-        for chunk in chunks
-    ]
+    order = sorted(range(len(utterances)), key=lambda i: utterances[i].midpoint_s)
+    mids = [utterances[i].midpoint_s for i in order]
+    filled = []
+    for chunk in chunks:
+        lo = bisect_left(mids, chunk.start_s)
+        hi = bisect_left(mids, chunk.end_s, lo)
+        text = " ".join(utterances[i].text for i in sorted(order[lo:hi]))
+        filled.append(replace(chunk, text=text))
+    return filled
 
 
 def chunk_covering(chunks: Sequence[TranscriptChunk], t_s: float) -> TranscriptChunk | None:
-    """The chunk whose [start, end) window contains the given time, if any."""
-    for chunk in chunks:
-        if chunk.start_s <= t_s < chunk.end_s:
-            return chunk
-    return None
+    """The chunk whose [start, end) window contains the given time, if any.
+
+    ``chunks`` is a tiling from plan_transcript_chunks, so the index follows
+    from the nominal chunk length; the kept tail is the last chunk.
+    """
+    if not chunks or not chunks[0].start_s <= t_s < chunks[-1].end_s:
+        return None
+    return chunks[int((t_s - chunks[0].start_s) // chunks[0].chunk_len_s)]

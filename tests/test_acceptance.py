@@ -291,7 +291,7 @@ def test_wire_protocol_conformance(tmp_path):
 
     with FixtureChatServer(store) as server:
         http_backend = HttpChatBackend(
-            HttpBackendConfig(base_url=server.base_url, model="fixture-replay", max_concurrency=8),
+            HttpBackendConfig(base_url=server.base_url, model="fixture-replay"),
             backend_id="fixture",
         )
         orchestrator.run(config("report-http"), backend=http_backend)

@@ -18,11 +18,8 @@ from sessionpipe.backends import (
     MockBackend,
     Role,
     UnparseableTimestampsError,
-    caption,
     parse_utterances_json,
     prompt_sha256,
-    reason,
-    transcribe,
     utterances_to_json,
 )
 from sessionpipe.fixture_server import FixtureChatServer
@@ -57,7 +54,7 @@ class TestMockBackend:
         request = BackendRequest(
             role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v"
         )
-        response = caption(backend, request)
+        response = backend.complete(request)
         assert response.text == "The child stacks blocks on the rug."
         assert response.attempt == 1
 
@@ -79,12 +76,35 @@ class TestMockBackend:
         assert texts == {"The child stacks blocks on the rug."}
         assert backend.call_count == 64
 
+    def test_fixtures_path_loaded_on_first_request(self, caption_store, tmp_path, monkeypatch):
+        path = tmp_path / "fixtures.jsonl"
+        caption_store.dump_jsonl(path)
+        loads = []
+        real_load = FixtureStore.load_jsonl.__func__
+        monkeypatch.setattr(
+            FixtureStore, "load_jsonl",
+            classmethod(lambda cls, p: loads.append(p) or real_load(cls, p)),
+        )
+        backend = MockBackend(path)
+        assert loads == []
+        request = BackendRequest(
+            role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v"
+        )
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            texts = set(pool.map(lambda _: backend.complete(request).text, range(16)))
+        assert texts == {"The child stacks blocks on the rug."}
+        assert loads == [path]
+
+    def test_missing_fixtures_path_fails_at_construction(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            MockBackend(tmp_path / "absent.jsonl")
+
     def test_reason_identity(self):
         store = make_store([(Role.REASONER, "s1", 0, "which label?", "conversation")])
         backend = MockBackend(store)
         request = BackendRequest(role=Role.REASONER, session_id="s1", prompt="which label?", segment_index=0)
-        assert reason(backend, request).text == "conversation"
-        assert reason(backend, request).text == "conversation"
+        assert backend.complete(request).text == "conversation"
+        assert backend.complete(request).text == "conversation"
 
 
 class TestRequestInvariants:
@@ -95,6 +115,16 @@ class TestRequestInvariants:
     def test_reasoner_takes_no_media(self):
         with pytest.raises(ValueError):
             BackendRequest(role=Role.REASONER, session_id="s", prompt="p", media_ref="v")
+
+    def test_prompt_hashed_once(self, monkeypatch):
+        from sessionpipe import backends
+
+        prompts = []
+        monkeypatch.setattr(backends, "prompt_sha256",
+                            lambda prompt: prompts.append(prompt) or prompt_sha256(prompt))
+        request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
+        assert {request.prompt_hash for _ in range(3)} == {prompt_sha256("p")}
+        assert prompts == ["p"]
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
@@ -107,13 +137,13 @@ class TestTranscribe:
         store = make_store([(Role.TRANSCRIBER, "s1", None, "transcribe", utterances_to_json(utterances))])
         backend = MockBackend(store)
         request = BackendRequest(role=Role.TRANSCRIBER, session_id="s1", prompt="transcribe", media_ref="a")
-        assert transcribe(backend, request) == utterances
+        assert parse_utterances_json(backend.complete(request).text) == utterances
 
     def test_silent_audio_is_empty(self):
         store = make_store([(Role.TRANSCRIBER, "s1", None, "transcribe", "[]")])
         backend = MockBackend(store)
         request = BackendRequest(role=Role.TRANSCRIBER, session_id="s1", prompt="transcribe", media_ref="a")
-        assert transcribe(backend, request) == []
+        assert parse_utterances_json(backend.complete(request).text) == []
 
     def test_out_of_order_timestamps_rejected(self):
         bad = json.dumps(
@@ -204,7 +234,7 @@ class TestHttpBackend:
                 frame_timestamps_s=(0.0, 1.0),
                 params=GenerationParams(seed=7),
             )
-            response = caption(backend, request)
+            response = backend.complete(request)
             assert response.text == "The child stacks blocks on the rug."
             assert response.attempt == 1
 
@@ -217,6 +247,26 @@ class TestHttpBackend:
             )
             with pytest.raises(BackendExhaustedError):
                 backend.complete(request)
+
+    def test_one_session_per_thread(self, caption_store):
+        with FixtureChatServer(caption_store) as server:
+            backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url))
+            request = BackendRequest(
+                role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v"
+            )
+            barrier = threading.Barrier(3, timeout=30)
+
+            def sessions_seen(_):
+                barrier.wait()  # three threads alive at once, so none is reused
+                first = backend._session()
+                backend.complete(request)
+                backend.complete(request)
+                assert backend._session() is first
+                return first
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                sessions = list(pool.map(sessions_seen, range(3)))
+        assert len({id(s) for s in sessions}) == 3
 
     def test_description_prompt_forwarded_verbatim(self, caption_store):
         captured = {}

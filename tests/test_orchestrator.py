@@ -1,10 +1,11 @@
 import json
+import threading
 
 import pytest
 
 from sessionpipe import orchestrator
-from sessionpipe.backends import FixtureStore, MockBackend
-from sessionpipe.orchestrator import RunConfig, load_predictions, run
+from sessionpipe.backends import Backend, FixtureStore, MockBackend
+from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import SimConfig, generate_corpus
 
@@ -107,6 +108,107 @@ class TestRun:
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         assert preds
         assert all(p.cache_key in cached_keys for p in preds)
+
+
+class TestExecution:
+    def test_warm_run_loads_no_fixtures_and_sends_nothing(self, sim_out, tmp_path, monkeypatch):
+        cfg = make_config(sim_out, tmp_path)
+        run(cfg)
+        files = [cfg.cache_dir / n for n in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl")]
+
+        def state():
+            stats = [p.stat() for p in files]
+            return ([p.read_bytes() for p in files], [(s.st_ino, s.st_mtime_ns) for s in stats],
+                    (cfg.report_dir / "report.json").read_bytes())
+
+        before = state()
+        calls = []
+        load_jsonl = FixtureStore.load_jsonl.__func__
+        complete = MockBackend.complete
+        monkeypatch.setattr(FixtureStore, "load_jsonl", classmethod(
+            lambda cls, path: calls.append("load_jsonl") or load_jsonl(cls, path)))
+        monkeypatch.setattr(MockBackend, "complete",
+                            lambda self, request: calls.append("complete") or complete(self, request))
+        run(cfg)
+        assert calls == []
+        assert state() == before  # same bytes, and no cache file rewritten
+
+    def test_missing_fixtures_fail_at_build_time(self, sim_out, tmp_path):
+        cfg = make_config(sim_out, tmp_path, fixtures_path=tmp_path / "absent.jsonl")
+        with pytest.raises(FileNotFoundError):
+            orchestrator.build_backend(cfg)
+
+    def test_mock_run_starts_no_thread_pool(self, sim_out, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an in-process backend must run inline")
+
+        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", no_pool)
+        report = run(make_config(sim_out, tmp_path))
+        assert report.row(RefinementMode.MULTIMODAL, 16).cells["activity_segmentation"] == 1.0
+
+    def test_io_backend_runs_on_pool_bounded_by_concurrency(self, sim_out, tmp_path, monkeypatch):
+        class Remote(Backend):
+            def __init__(self, inner):
+                self.backend_id = inner.backend_id
+                self._inner = inner
+                self._lock = threading.Lock()
+                self.in_flight = self.peak = 0
+                self.threads = set()
+
+            def complete(self, request):
+                with self._lock:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                    self.threads.add(threading.get_ident())
+                try:
+                    return self._inner.complete(request)
+                finally:
+                    with self._lock:
+                        self.in_flight -= 1
+
+        pools = []
+        real_pool = orchestrator.ThreadPoolExecutor
+        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor",
+                            lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
+        inline_cfg = make_config(sim_out, tmp_path / "inline")
+        run(inline_cfg)
+        assert pools == []
+        remote = Remote(MockBackend(sim_out.fixtures_path))
+        pool_cfg = make_config(sim_out, tmp_path / "pool", concurrency=3)
+        run(pool_cfg, backend=remote)
+        assert pools == [3, 3]  # extraction, then reasoning
+        assert remote.peak <= 3
+        assert threading.get_ident() not in remote.threads
+        assert (pool_cfg.report_dir / "predictions.jsonl").read_bytes() == (
+            inline_cfg.report_dir / "predictions.jsonl").read_bytes()
+
+
+def _record(key, role="reasoner", text="ok"):
+    return {"key": key, "role": role, "session_id": "s", "segment_index": 0,
+            "prompt_hash": "h", "backend_id": "mock", "text": text}
+
+
+class TestResponseCacheFlush:
+    def test_failed_flush_leaves_previous_file_whole(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for i in range(3):
+            cache.put(_record(f"k{i}"))
+        cache.put(_record("c0", role="captioner"))
+        cache.flush()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        cache = ResponseCache(tmp_path)
+        cache.put(_record("k5"))
+        cache.put(_record("k9", text=object()))  # sorts last: fails after k0..k5 are written
+        with pytest.raises(TypeError):
+            cache.flush()
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert ResponseCache(tmp_path).get("k2") == _record("k2")
+
+    def test_flush_writes_missing_files_even_when_clean(self, tmp_path):
+        ResponseCache(tmp_path / "cache").flush()
+        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+            "captions.jsonl", "reasoner.jsonl", "transcripts.jsonl"]
 
 
 class TestFailureHandling:

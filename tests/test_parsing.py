@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sessionpipe import parsing
 from sessionpipe.corpus import ActivityTaxonomy
 from sessionpipe.parsing import MatchTier, normalize, parse_binary, parse_label
 
@@ -22,6 +23,13 @@ class TestParseLabel:
     def test_fuzzy_substring(self, taxonomy):
         parsed = parse_label("The activity shown is shared book reading.", taxonomy)
         assert (parsed.label, parsed.tier) == ("shared book reading", MatchTier.FUZZY)
+
+    def test_taxonomy_normalized_once(self, taxonomy, monkeypatch):
+        texts = []
+        monkeypatch.setattr(parsing, "normalize", lambda text: texts.append(text) or normalize(text))
+        for text in ["toy play", "book reading", "we did some toy play", "???"] * 5:
+            parse_label(text, taxonomy)
+        assert len(texts) == 20 + len(taxonomy.labels) + len(taxonomy.aliases)
 
     def test_no_full_label_is_unknown(self, taxonomy):
         parsed = parse_label("could be reading or singing", taxonomy)

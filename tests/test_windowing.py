@@ -161,3 +161,74 @@ def test_chunk_covering():
     assert chunk_covering(chunks, 70.0).index == 1
     assert chunk_covering(chunks, 0.0).index == 0
     assert chunk_covering(chunks, 128.0) is None
+
+
+def start_sorted_utterances():
+    """Sorted by start but free to overlap, so midpoints can run out of order.
+
+    Times are multiples of 0.5 s, so midpoints often land on chunk edges.
+    """
+
+    @st.composite
+    def _build(draw):
+        starts = sorted(draw(st.lists(st.integers(min_value=-8, max_value=500), max_size=40)))
+        return [
+            TimedUtterance(s / 2, s / 2 + draw(st.integers(min_value=0, max_value=200)) / 2, f"u{i}")
+            for i, s in enumerate(starts)
+        ]
+
+    return _build()
+
+
+def _covering_by_scan(chunks, t_s):
+    for chunk in chunks:
+        if chunk.start_s <= t_s < chunk.end_s:
+            return chunk
+    return None
+
+
+@given(
+    duration=st.floats(min_value=8.0, max_value=300.0, allow_nan=False),
+    chunk_len=st.sampled_from([16, 64]),
+    utterances=st.one_of(sequential_utterances(horizon=320.0), start_sorted_utterances()),
+)
+@settings(max_examples=300, deadline=None)
+def test_fill_chunks_matches_align_transcript(duration, chunk_len, utterances):
+    chunks = plan_transcript_chunks(duration, chunk_len)
+    filled = fill_chunks(chunks, utterances)
+    assert [c.text for c in filled] == [
+        align_transcript(utterances, c.start_s, c.end_s) for c in chunks
+    ]
+    assert [(c.index, c.start_s, c.end_s) for c in filled] == [
+        (c.index, c.start_s, c.end_s) for c in chunks
+    ]
+
+
+@given(utterances=start_sorted_utterances().filter(
+    lambda us: len({u.start_s for u in us}) > 1))
+@settings(max_examples=100, deadline=None)
+def test_fill_chunks_rejects_unsorted(utterances):
+    with pytest.raises(UnsortedUtterancesError):
+        fill_chunks(plan_transcript_chunks(64.0, 16), list(reversed(utterances)))
+
+
+@given(
+    duration=st.floats(min_value=8.0, max_value=4000.0, allow_nan=False),
+    chunk_len=st.sampled_from([16, 64]),
+    t_s=st.one_of(
+        st.floats(min_value=-100.0, max_value=4100.0, allow_nan=False),
+        st.integers(min_value=-2, max_value=500).map(lambda k: k * 8.0),
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_chunk_covering_matches_linear_scan(duration, chunk_len, t_s):
+    chunks = plan_transcript_chunks(duration, chunk_len)
+    assert chunk_covering(chunks, t_s) is _covering_by_scan(chunks, t_s)
+
+
+def test_chunk_covering_kept_tail_and_past_end():
+    chunks = plan_transcript_chunks(56.0, 16)  # 8 s tail kept
+    assert chunk_covering(chunks, 50.0) is chunks[3]
+    assert chunk_covering(chunks, 56.0) is None
+    assert chunk_covering(plan_transcript_chunks(52.0, 16), 50.0) is None  # 4 s tail dropped
+    assert chunk_covering([], 0.0) is None
