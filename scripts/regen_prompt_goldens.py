@@ -11,10 +11,12 @@ from pathlib import Path
 
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.prompting import (
+    CAPTION_MODES,
+    DESCRIPTION_PROMPT,
+    TRANSCRIPT_MODES,
+    TRANSCRIPTION_PROMPT,
     RefinementMode,
-    build_description_prompt,
     build_task_prompt,
-    build_transcription_prompt,
 )
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "tests" / "golden"
@@ -30,25 +32,20 @@ GOLDEN_TRANSCRIPT = "lets read this one together. which page do you like?"
 
 
 def golden_inputs(mode: RefinementMode) -> tuple[str | None, str | None]:
-    caption = GOLDEN_CAPTION if mode in (RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL) else None
-    transcript = (
-        GOLDEN_TRANSCRIPT
-        if mode in (RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL)
-        else None
-    )
+    caption = GOLDEN_CAPTION if mode in CAPTION_MODES else None
+    transcript = GOLDEN_TRANSCRIPT if mode in TRANSCRIPT_MODES else None
     return caption, transcript
 
 
 def main() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    (GOLDEN_DIR / "description.txt").write_text(build_description_prompt(), encoding="utf-8")
-    (GOLDEN_DIR / "transcription.txt").write_text(build_transcription_prompt(), encoding="utf-8")
+    (GOLDEN_DIR / "description.txt").write_text(DESCRIPTION_PROMPT, encoding="utf-8")
+    (GOLDEN_DIR / "transcription.txt").write_text(TRANSCRIPTION_PROMPT, encoding="utf-8")
     for task in TaskKind:
         for mode in RefinementMode:
             caption, transcript = golden_inputs(mode)
-            bundle = build_task_prompt(mode, task, caption, transcript, GOLDEN_TAXONOMY)
-            path = GOLDEN_DIR / f"{task.value}.{mode.value}.txt"
-            path.write_text(bundle.rendered, encoding="utf-8")
+            prompt = build_task_prompt(mode, task, caption, transcript, GOLDEN_TAXONOMY)
+            (GOLDEN_DIR / f"{task.value}.{mode.value}.txt").write_text(prompt, encoding="utf-8")
     print(f"wrote goldens to {GOLDEN_DIR}")
 
 

@@ -9,10 +9,10 @@ predicted Presence; a higher ratio means more frequent abnormal behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from .corpus import ACTIVITY_TASKS, TaskKind
-from .parsing import ParsedBinary, ParsedLabel
+from .parsing import MatchTier, ParsedBinary, ParsedLabel
 from .prompting import RefinementMode
 
 DEFAULT_MIN_ACTIVITY_DURATION_S = 90.0
@@ -28,7 +28,8 @@ class EmptySessionError(ValueError):
 
 @dataclass(frozen=True)
 class SegmentPrediction:
-    """One parsed prediction for one window of one session."""
+    """One parsed prediction for one window of one session, traceable to its
+    cached backend response (a predictions.jsonl line)."""
 
     session_id: str
     task: TaskKind
@@ -37,6 +38,8 @@ class SegmentPrediction:
     start_s: float
     end_s: float
     label: ParsedLabel | ParsedBinary
+    chunk_len_s: int | None = None
+    cache_key: str = ""
 
     def __post_init__(self):
         if self.task in ACTIVITY_TASKS and not isinstance(self.label, ParsedLabel):
@@ -47,6 +50,42 @@ class SegmentPrediction:
     @property
     def duration_s(self) -> float:
         return self.end_s - self.start_s
+
+    def to_record(self) -> dict:
+        record: dict[str, Any] = {
+            "session_id": self.session_id,
+            "task": self.task.value,
+            "mode": self.mode.value,
+            "chunk_len_s": self.chunk_len_s,
+            "unit_index": self.unit_index,
+            "start_s": self.start_s,
+            "end_s": self.end_s,
+            "raw": self.label.raw,
+            "cache_key": self.cache_key,
+        }
+        if isinstance(self.label, ParsedLabel):
+            record["label"] = self.label.label
+            record["tier"] = self.label.tier.value
+        else:
+            record["presence"] = self.label.presence
+        return record
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "SegmentPrediction":
+        task = TaskKind(record["task"])
+        if task in ACTIVITY_TASKS:
+            label: ParsedLabel | ParsedBinary = ParsedLabel(
+                label=record["label"], tier=MatchTier(record["tier"]), raw=record["raw"]
+            )
+        else:
+            label = ParsedBinary(presence=record["presence"], raw=record["raw"])
+        chunk = record["chunk_len_s"]
+        return cls(
+            session_id=record["session_id"], task=task, mode=RefinementMode(record["mode"]),
+            unit_index=int(record["unit_index"]), start_s=float(record["start_s"]),
+            end_s=float(record["end_s"]), label=label,
+            chunk_len_s=None if chunk is None else int(chunk), cache_key=str(record["cache_key"]),
+        )
 
 
 @dataclass(frozen=True)

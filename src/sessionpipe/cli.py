@@ -8,7 +8,7 @@ from pathlib import Path
 
 import click
 
-from . import orchestrator, simulator
+from . import orchestrator, simulator, windowing
 from .corpus import TaskKind, load_corpus, load_taxonomy
 from .prompting import RefinementMode
 
@@ -35,17 +35,21 @@ def main():
 def simulate(out_dir, seed, n_sessions, duration_s, caption_flip_p,
              transcript_drop_p, reasoner_flip_p, chunk_lens):
     """Generate a synthetic corpus plus matching backend fixtures."""
-    cfg = simulator.SimConfig(
-        seed=seed,
-        n_sessions=n_sessions,
-        duration_s=duration_s,
-        noise=simulator.NoiseSpec(
-            caption_flip_p=caption_flip_p,
-            transcript_drop_p=transcript_drop_p,
-            reasoner_flip_p=reasoner_flip_p,
-        ),
-    )
-    lens = tuple(int(x) for x in chunk_lens.split(","))
+    try:
+        cfg = simulator.SimConfig(
+            seed=seed,
+            n_sessions=n_sessions,
+            duration_s=duration_s,
+            noise=simulator.NoiseSpec(
+                caption_flip_p=caption_flip_p,
+                transcript_drop_p=transcript_drop_p,
+                reasoner_flip_p=reasoner_flip_p,
+            ),
+        )
+        lens = tuple(int(x) for x in chunk_lens.split(","))
+        windowing.check_chunk_lengths(lens)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
     out = simulator.generate_corpus(cfg, out_dir, chunk_lens=lens)
     click.echo(f"corpus:   {out.corpus_dir}")
     click.echo(f"taxonomy: {out.taxonomy_path}")
@@ -87,26 +91,29 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
                 model, api_key, modes, tasks, chunk_lens, concurrency, seed, window_s, fps,
                 min_activity_duration_s, failure_threshold, allow_partial, template_dir):
     """Run extraction, refinement, aggregation, and evaluation."""
-    cfg = orchestrator.RunConfig(
-        corpus_dir=corpus_dir,
-        taxonomy_path=taxonomy_path,
-        report_dir=report_dir,
-        cache_dir=cache_dir if cache_dir is not None else report_dir / "cache",
-        fixtures_path=fixtures_path,
-        endpoint=endpoint,
-        model=model,
-        api_key=api_key,
-        modes=tuple(RefinementMode(m) for m in _parse_multi(modes, _MODE_CHOICES, "mode")),
-        tasks=tuple(TaskKind(t) for t in _parse_multi(tasks, _TASK_CHOICES, "task")),
-        chunk_lens=tuple(int(x) for x in chunk_lens.split(",")),
-        concurrency=concurrency,
-        seed=seed,
-        window_s=window_s,
-        fps=fps,
-        min_activity_duration_s=min_activity_duration_s,
-        failure_threshold=failure_threshold,
-        template_dir=template_dir,
-    )
+    try:
+        cfg = orchestrator.RunConfig(
+            corpus_dir=corpus_dir,
+            taxonomy_path=taxonomy_path,
+            report_dir=report_dir,
+            cache_dir=cache_dir if cache_dir is not None else report_dir / "cache",
+            fixtures_path=fixtures_path,
+            endpoint=endpoint,
+            model=model,
+            api_key=api_key,
+            modes=tuple(RefinementMode(m) for m in _parse_multi(modes, _MODE_CHOICES, "mode")),
+            tasks=tuple(TaskKind(t) for t in _parse_multi(tasks, _TASK_CHOICES, "task")),
+            chunk_lens=tuple(int(x) for x in chunk_lens.split(",")),
+            concurrency=concurrency,
+            seed=seed,
+            window_s=window_s,
+            fps=fps,
+            min_activity_duration_s=min_activity_duration_s,
+            failure_threshold=failure_threshold,
+            template_dir=template_dir,
+        )
+    except ValueError as exc:  # RunConfig rejects bad option values
+        raise click.BadParameter(str(exc)) from None
     report = orchestrator.run(cfg)
     click.echo(f"report written to {report_dir}")
     if report.invalid_sessions:
@@ -162,28 +169,8 @@ def report_command(report_json, out_path):
     from .reporting import render_markdown
 
     doc = json.loads(Path(report_json).read_text(encoding="utf-8"))
-    rows = [
-        orchestrator.ReportRow(
-            mode=RefinementMode(row["mode"]),
-            chunk_len_s=row["chunk_len_s"],
-            cells=row["metrics"],
-            per_class=row["per_class"],
-            n_sessions=row["n_sessions"],
-            notes=row.get("notes", {}),
-        )
-        for row in doc["rows"]
-    ]
-    report = orchestrator.EvaluationReport(
-        backend_id=doc["backend_id"],
-        taxonomy_name=doc["taxonomy"],
-        taxonomy_labels=doc["taxonomy_labels"],
-        config=doc["config"],
-        rows=rows,
-        invalid_sessions=doc["invalid_sessions"],
-        failures=doc["failures"],
-    )
     out_path = out_path if out_path is not None else Path(report_json).with_name("report.md")
-    Path(out_path).write_text(render_markdown(report), encoding="utf-8")
+    Path(out_path).write_text(render_markdown(doc), encoding="utf-8")
     click.echo(f"wrote {out_path}")
 
 

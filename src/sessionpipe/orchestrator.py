@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import aggregation, metrics, windowing
 from .backends import (
@@ -40,20 +40,20 @@ from .corpus import (
     load_corpus,
     load_taxonomy,
 )
-from .parsing import MatchTier, ParsedBinary, ParsedLabel, parse_binary, parse_label
+from .parsing import ParsedLabel, parse_binary, parse_label
 from .prompting import (
+    CAPTION_MODES,
+    DESCRIPTION_PROMPT,
+    TRANSCRIPT_MODES,
+    TRANSCRIPTION_PROMPT,
     RefinementMode,
-    build_description_prompt,
     build_task_prompt,
-    build_transcription_prompt,
     load_templates,
 )
-from .windowing import Segment
+from .windowing import Segment, TranscriptChunk
 
 ALL_MODES = tuple(RefinementMode)
 ALL_TASKS = tuple(TaskKind)
-# modes that read the transcript, and so run once per chunk length
-TRANSCRIPT_MODES = frozenset({RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL})
 
 _ROLE_CACHE_FILES = {
     Role.CAPTIONER: "captions.jsonl",
@@ -105,64 +105,7 @@ class RunConfig:
             raise ValueError("chunk_lens must be non-empty for transcript-using modes")
         if self.concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-
-
-@dataclass(frozen=True)
-class UnitPrediction:
-    """One parsed prediction, traceable to its cached backend response."""
-
-    session_id: str
-    task: TaskKind
-    mode: RefinementMode
-    chunk_len_s: int | None
-    unit_index: int
-    start_s: float
-    end_s: float
-    parsed: ParsedLabel | ParsedBinary
-    cache_key: str
-
-    def to_record(self) -> dict:
-        record: dict[str, Any] = {
-            "session_id": self.session_id,
-            "task": self.task.value,
-            "mode": self.mode.value,
-            "chunk_len_s": self.chunk_len_s,
-            "unit_index": self.unit_index,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "raw": self.parsed.raw,
-            "cache_key": self.cache_key,
-        }
-        if isinstance(self.parsed, ParsedLabel):
-            record["label"] = self.parsed.label
-            record["tier"] = self.parsed.tier.value
-        else:
-            record["presence"] = self.parsed.presence
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "UnitPrediction":
-        task = TaskKind(record["task"])
-        if task in ACTIVITY_TASKS:
-            parsed: ParsedLabel | ParsedBinary = ParsedLabel(
-                label=record["label"],
-                tier=MatchTier(record["tier"]),
-                raw=record["raw"],
-            )
-        else:
-            parsed = ParsedBinary(presence=record["presence"], raw=record["raw"])
-        chunk = record["chunk_len_s"]
-        return cls(
-            session_id=record["session_id"],
-            task=task,
-            mode=RefinementMode(record["mode"]),
-            chunk_len_s=None if chunk is None else int(chunk),
-            unit_index=int(record["unit_index"]),
-            start_s=float(record["start_s"]),
-            end_s=float(record["end_s"]),
-            parsed=parsed,
-            cache_key=str(record["cache_key"]),
-        )
+        windowing.check_chunk_lengths(self.chunk_lens)
 
 
 @dataclass
@@ -334,17 +277,136 @@ def build_backend(cfg: RunConfig) -> Backend:
     raise ValueError("RunConfig needs a fixtures_path or an endpoint")
 
 
+class PlannedUnit(NamedTuple):
+    """One task request of the run plan, with the evidence its prompt embeds."""
+
+    task: TaskKind
+    mode: RefinementMode
+    chunk_len_s: int | None
+    window: Segment | TranscriptChunk
+    request: BackendRequest
+    caption: str | None
+    transcript: str | None
+
+
+def _chunk_options(mode: RefinementMode, chunk_lens: Sequence[int]) -> Sequence[int | None]:
+    # modes that read the transcript run once per chunk length
+    return chunk_lens if mode in TRANSCRIPT_MODES else (None,)
+
+
+def _caption_request(manifest: SessionManifest, seg: Segment, prompt: str,
+                     params: GenerationParams) -> BackendRequest:
+    return BackendRequest(
+        role=Role.CAPTIONER, session_id=manifest.session_id, prompt=prompt, segment_index=seg.index,
+        media_ref=manifest.video_ref, frame_timestamps_s=seg.frame_timestamps_s, params=params,
+    )
+
+
+def plan_extraction(
+    manifest: SessionManifest,
+    segments: Sequence[Segment],
+    modes: Sequence[RefinementMode],
+    params: GenerationParams,
+) -> list[BackendRequest]:
+    """The caption (one per segment) and transcript requests of one session."""
+    requests = []
+    if CAPTION_MODES & set(modes):
+        requests.extend(_caption_request(manifest, seg, DESCRIPTION_PROMPT, params) for seg in segments)
+    if TRANSCRIPT_MODES & set(modes):
+        requests.append(
+            BackendRequest(
+                role=Role.TRANSCRIBER, session_id=manifest.session_id, prompt=TRANSCRIPTION_PROMPT,
+                segment_index=None, media_ref=manifest.audio_ref, params=params,
+            )
+        )
+    return requests
+
+
+def transcript_chunks(
+    manifest: SessionManifest, utterances: Sequence[windowing.TimedUtterance], chunk_lens: Sequence[int]
+) -> dict[int, list[TranscriptChunk]]:
+    """A session's transcript, aligned to the chunks of each chunk length."""
+    return {
+        length: windowing.fill_chunks(
+            windowing.plan_transcript_chunks(manifest.media_duration_s, length, session_id=manifest.session_id),
+            utterances,
+        )
+        for length in chunk_lens
+    }
+
+
+def _evidence_windows(
+    mode: RefinementMode,
+    segments: Sequence[Segment],
+    captions: Mapping[int, str],
+    chunks: Sequence[TranscriptChunk],
+) -> list[tuple[Segment | TranscriptChunk, str | None, str | None]]:
+    """(window, caption, transcript) for each unit of one mode and chunk length."""
+    if mode is RefinementMode.ZERO_SHOT:
+        return [(seg, None, None) for seg in segments]
+    if mode is RefinementMode.TRANSCRIPT_ONLY:
+        return [(chunk, None, chunk.text) for chunk in chunks]
+    if mode is RefinementMode.MULTIMODAL and not chunks:
+        return []  # transcript extraction failed, or the session is under half a chunk
+    windows: list[tuple[Segment | TranscriptChunk, str | None, str | None]] = []
+    for seg in segments:
+        caption = captions.get(seg.index)
+        if caption is None:
+            continue  # caption extraction failed; counted there
+        transcript = None
+        if mode is RefinementMode.MULTIMODAL:
+            chunk = windowing.chunk_covering(chunks, seg.midpoint_s)
+            transcript = chunk.text if chunk is not None else ""
+        windows.append((seg, caption, transcript))
+    return windows
+
+
+def plan_units(
+    manifest: SessionManifest,
+    segments: Sequence[Segment],
+    captions: Mapping[int, str],
+    chunks: Mapping[int, Sequence[TranscriptChunk]],
+    modes: Sequence[RefinementMode],
+    tasks: Sequence[TaskKind],
+    chunk_lens: Sequence[int],
+    taxonomy: ActivityTaxonomy,
+    templates: dict[str, str] | None,
+    params: GenerationParams,
+) -> list[PlannedUnit]:
+    """Every task request of one session, by mode, chunk length, task, window.
+
+    Zero-shot asks the captioner about each segment directly; the other modes
+    ask the reasoner about the extracted evidence. Segments without a caption
+    (their extraction failed and was counted there) are left out, and so is
+    multimodal at a chunk length with no transcript chunks.
+    """
+    units = []
+    for mode in modes:
+        for chunk_len in _chunk_options(mode, chunk_lens):
+            windows = _evidence_windows(mode, segments, captions, chunks.get(chunk_len, []))
+            for task in tasks:
+                if mode is RefinementMode.ZERO_SHOT:
+                    prompt = build_task_prompt(mode, task, None, None, taxonomy, templates)
+                for window, caption, transcript in windows:
+                    if mode is RefinementMode.ZERO_SHOT:
+                        request = _caption_request(manifest, window, prompt, params)
+                    else:
+                        request = BackendRequest(
+                            role=Role.REASONER, session_id=manifest.session_id,
+                            prompt=build_task_prompt(mode, task, caption, transcript, taxonomy, templates),
+                            segment_index=window.index, params=params,
+                        )
+                    units.append(PlannedUnit(task, mode, chunk_len, window, request, caption, transcript))
+    return units
+
+
 @dataclass
 class _SessionPlan:
     manifest: SessionManifest
     segments: list[Segment]
-    chunks: dict[int, list[windowing.TranscriptChunk]] = field(default_factory=dict)
+    chunks: dict[int, list[TranscriptChunk]] = field(default_factory=dict)
     captions: dict[int, str] = field(default_factory=dict)
     failed_segments: set[int] = field(default_factory=set)
-
-
-def _segments_overlapping(plan: _SessionPlan, start_s: float, end_s: float) -> list[int]:
-    return [s.index for s in plan.segments if s.start_s < end_s and s.end_s > start_s]
 
 
 def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
@@ -358,11 +420,6 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
     executor = _Executor(backend, cache, cfg.concurrency)
     params = GenerationParams(seed=cfg.seed)
 
-    needs_captions = bool(
-        {RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL} & set(cfg.modes)
-    )
-    needs_transcripts = bool(TRANSCRIPT_MODES & set(cfg.modes))
-
     plans = [
         _SessionPlan(
             manifest=m,
@@ -374,179 +431,77 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
     ]
     failures: list[dict] = []
 
-    def record_failure(plan: _SessionPlan, role: Role, segment_index: int | None,
-                       prompt_hash: str, error: Exception, failed_segments: Sequence[int]) -> None:
+    def work_item(request: BackendRequest) -> _WorkItem:
+        key = cache_key(backend.backend_id, request.role, request.session_id,
+                        request.segment_index, request.prompt_hash)
+        return _WorkItem(key, request)
+
+    def record_failure(plan: _SessionPlan, item: _WorkItem, error: Exception,
+                       failed_segments: Iterable[int]) -> None:
         failures.append(
             {
                 "session_id": plan.manifest.session_id,
-                "role": role.value,
-                "segment_index": segment_index,
-                "prompt_hash": prompt_hash,
+                "role": item.request.role.value,
+                "segment_index": item.request.segment_index,
+                "prompt_hash": item.request.prompt_hash,
                 "error": f"{type(error).__name__}: {error}",
             }
         )
         plan.failed_segments.update(failed_segments)
 
     # phase 1: modality content extraction
-    description = build_description_prompt()
-    transcription = build_transcription_prompt()
-    extraction: list[tuple[_SessionPlan, _WorkItem]] = []
-    for plan in plans:
-        m = plan.manifest
-        if needs_captions:
-            for seg in plan.segments:
-                request = BackendRequest(
-                    role=Role.CAPTIONER,
-                    session_id=m.session_id,
-                    prompt=description,
-                    segment_index=seg.index,
-                    media_ref=m.video_ref,
-                    frame_timestamps_s=seg.frame_timestamps_s,
-                    params=params,
-                )
-                extraction.append(
-                    (plan, _WorkItem(cache_key(backend.backend_id, Role.CAPTIONER, m.session_id,
-                                               seg.index, request.prompt_hash), request))
-                )
-        if needs_transcripts:
-            request = BackendRequest(
-                role=Role.TRANSCRIBER,
-                session_id=m.session_id,
-                prompt=transcription,
-                segment_index=None,
-                media_ref=m.audio_ref,
-                params=params,
-            )
-            extraction.append(
-                (plan, _WorkItem(cache_key(backend.backend_id, Role.TRANSCRIBER, m.session_id,
-                                           None, request.prompt_hash), request))
-            )
+    extraction = [
+        (plan, work_item(request))
+        for plan in plans
+        for request in plan_extraction(plan.manifest, plan.segments, cfg.modes, params)
+    ]
     executor.run([item for _, item in extraction])
 
     for plan, item in extraction:
         request = item.request
+        all_segments = range(len(plan.segments))
         if item.key in executor.errors:
-            failed = (
-                [request.segment_index]
-                if request.segment_index is not None
-                else [s.index for s in plan.segments]
-            )
-            record_failure(plan, request.role, request.segment_index,
-                           request.prompt_hash, executor.errors[item.key], failed)
+            failed = all_segments if request.segment_index is None else [request.segment_index]
+            record_failure(plan, item, executor.errors[item.key], failed)
             continue
-        text = executor.results[item.key]
         if request.role is Role.CAPTIONER:
-            plan.captions[request.segment_index] = text
-        else:
-            try:
-                utterances = parse_utterances_json(text)
-            except BackendError as exc:
-                record_failure(plan, request.role, None, request.prompt_hash, exc,
-                               [s.index for s in plan.segments])
-                continue
-            for length in cfg.chunk_lens:
-                planned = windowing.plan_transcript_chunks(
-                    plan.manifest.media_duration_s, length, session_id=plan.manifest.session_id
-                )
-                plan.chunks[length] = windowing.fill_chunks(planned, utterances)
+            plan.captions[request.segment_index] = executor.results[item.key]
+            continue
+        try:
+            utterances = parse_utterances_json(executor.results[item.key])
+        except BackendError as exc:
+            record_failure(plan, item, exc, all_segments)
+            continue
+        plan.chunks = transcript_chunks(plan.manifest, utterances, cfg.chunk_lens)
 
     # phase 2: task prompts per mode
-    @dataclass(frozen=True)
-    class _Unit:
-        plan_index: int
-        task: TaskKind
-        mode: RefinementMode
-        chunk_len_s: int | None
-        unit_index: int
-        start_s: float
-        end_s: float
-        item: _WorkItem
+    units = [
+        (plan, unit, work_item(unit.request))
+        for plan in plans
+        for unit in plan_units(plan.manifest, plan.segments, plan.captions, plan.chunks,
+                               cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, params)
+    ]
+    executor.run([item for _, _, item in units])
 
-    units: list[_Unit] = []
-
-    def reason_item(m: SessionManifest, prompt: str, unit_index: int) -> _WorkItem:
-        request = BackendRequest(
-            role=Role.REASONER, session_id=m.session_id, prompt=prompt,
-            segment_index=unit_index, params=params,
-        )
-        return _WorkItem(cache_key(backend.backend_id, Role.REASONER, m.session_id,
-                                   unit_index, request.prompt_hash), request)
-
-    for plan_index, plan in enumerate(plans):
-        m = plan.manifest
-        for mode in cfg.modes:
-            for chunk_len in _chunk_options(mode, cfg):
-                for task in cfg.tasks:
-                    if mode is RefinementMode.ZERO_SHOT:
-                        prompt = build_task_prompt(mode, task, None, None, taxonomy, templates).rendered
-                        for seg in plan.segments:
-                            request = BackendRequest(
-                                role=Role.CAPTIONER, session_id=m.session_id, prompt=prompt,
-                                segment_index=seg.index, media_ref=m.video_ref,
-                                frame_timestamps_s=seg.frame_timestamps_s, params=params,
-                            )
-                            item = _WorkItem(
-                                cache_key(backend.backend_id, Role.CAPTIONER, m.session_id,
-                                          seg.index, request.prompt_hash), request)
-                            units.append(_Unit(plan_index, task, mode, None, seg.index,
-                                               seg.start_s, seg.end_s, item))
-                    elif mode is RefinementMode.VIDEO_ONLY:
-                        for seg in plan.segments:
-                            caption_text = plan.captions.get(seg.index)
-                            if caption_text is None:
-                                continue  # extraction already failed; counted there
-                            prompt = build_task_prompt(mode, task, caption_text, None,
-                                                       taxonomy, templates).rendered
-                            units.append(_Unit(plan_index, task, mode, None, seg.index,
-                                               seg.start_s, seg.end_s, reason_item(m, prompt, seg.index)))
-                    elif mode is RefinementMode.TRANSCRIPT_ONLY:
-                        for chunk in plan.chunks.get(chunk_len, []):
-                            prompt = build_task_prompt(mode, task, None, chunk.text,
-                                                       taxonomy, templates).rendered
-                            units.append(_Unit(plan_index, task, mode, chunk_len, chunk.index,
-                                               chunk.start_s, chunk.end_s, reason_item(m, prompt, chunk.index)))
-                    else:  # multimodal
-                        chunks = plan.chunks.get(chunk_len, [])
-                        if not chunks and needs_transcripts:
-                            continue  # transcript extraction failed for the session
-                        for seg in plan.segments:
-                            caption_text = plan.captions.get(seg.index)
-                            if caption_text is None:
-                                continue
-                            chunk = windowing.chunk_covering(chunks, seg.midpoint_s)
-                            chunk_text = chunk.text if chunk is not None else ""
-                            prompt = build_task_prompt(mode, task, caption_text, chunk_text,
-                                                       taxonomy, templates).rendered
-                            units.append(_Unit(plan_index, task, mode, chunk_len, seg.index,
-                                               seg.start_s, seg.end_s, reason_item(m, prompt, seg.index)))
-
-    executor.run([u.item for u in units])
-
-    predictions: list[UnitPrediction] = []
-    for unit in units:
-        plan = plans[unit.plan_index]
-        if unit.item.key in executor.errors:
-            record_failure(plan, unit.item.request.role, unit.item.request.segment_index,
-                           unit.item.request.prompt_hash, executor.errors[unit.item.key],
-                           _segments_overlapping(plan, unit.start_s, unit.end_s))
+    predictions: list[aggregation.SegmentPrediction] = []
+    for plan, unit, item in units:
+        window = unit.window
+        if item.key in executor.errors:
+            overlapping = (s.index for s in plan.segments if s.start_s < window.end_s and s.end_s > window.start_s)
+            record_failure(plan, item, executor.errors[item.key], overlapping)
             continue
-        text = executor.results[unit.item.key]
-        parsed: ParsedLabel | ParsedBinary
-        if unit.task in ACTIVITY_TASKS:
-            parsed = parse_label(text, taxonomy)
-        else:
-            parsed = parse_binary(text)
+        text = executor.results[item.key]
         predictions.append(
-            UnitPrediction(
+            aggregation.SegmentPrediction(
                 session_id=plan.manifest.session_id,
                 task=unit.task,
                 mode=unit.mode,
+                unit_index=window.index,
+                start_s=window.start_s,
+                end_s=window.end_s,
+                label=parse_label(text, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(text),
                 chunk_len_s=unit.chunk_len_s,
-                unit_index=unit.unit_index,
-                start_s=unit.start_s,
-                end_s=unit.end_s,
-                parsed=parsed,
-                cache_key=unit.item.key,
+                cache_key=item.key,
             )
         )
 
@@ -570,10 +525,6 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
     return report
 
 
-def _chunk_options(mode: RefinementMode, cfg: RunConfig) -> Sequence[int | None]:
-    return cfg.chunk_lens if mode in TRANSCRIPT_MODES else (None,)
-
-
 def _config_echo(cfg: RunConfig) -> dict:
     return {
         "modes": [m.value for m in cfg.modes],
@@ -591,7 +542,7 @@ def _config_echo(cfg: RunConfig) -> dict:
 def evaluate_predictions(
     manifests: Sequence[SessionManifest],
     taxonomy: ActivityTaxonomy,
-    predictions: Sequence[UnitPrediction],
+    predictions: Sequence[aggregation.SegmentPrediction],
     cfg: RunConfig,
     backend_id: str,
     invalid_sessions: Sequence[str] = (),
@@ -601,7 +552,7 @@ def evaluate_predictions(
     (mode, chunk length) configuration."""
     invalid = set(invalid_sessions)
     by_id = {m.session_id: m for m in manifests}
-    grouped: dict[tuple[RefinementMode, int | None, TaskKind, str], list[UnitPrediction]] = {}
+    grouped: dict[tuple[RefinementMode, int | None, TaskKind, str], list[aggregation.SegmentPrediction]] = {}
     for pred in predictions:
         if pred.session_id in invalid:
             continue
@@ -609,7 +560,7 @@ def evaluate_predictions(
 
     rows = []
     for mode in cfg.modes:
-        for chunk_len in _chunk_options(mode, cfg):
+        for chunk_len in _chunk_options(mode, cfg.chunk_lens):
             cells: dict[str, float | None] = {}
             per_class: dict[str, dict[str, float]] = {}
             n_sessions: dict[str, int] = {}
@@ -630,9 +581,7 @@ def evaluate_predictions(
                     for m in sessions:
                         units = grouped.get((mode, chunk_len, task, m.session_id), [])
                         if units:
-                            lifted = aggregation.lift_session(
-                                _to_segment_predictions(units), cfg.min_activity_duration_s
-                            )
+                            lifted = aggregation.lift_session(units, cfg.min_activity_duration_s)
                             preds_map[m.session_id] = lifted.activity_set
                         else:
                             preds_map[m.session_id] = frozenset()
@@ -650,8 +599,8 @@ def evaluate_predictions(
                                 session_id=pred.session_id, index=pred.unit_index,
                                 start_s=pred.start_s, end_s=pred.end_s, frame_timestamps_s=(),
                             )
-                            assert isinstance(pred.parsed, ParsedLabel)
-                            pairs.append((segment, pred.parsed.label))
+                            assert isinstance(pred.label, ParsedLabel)
+                            pairs.append((segment, pred.label.label))
                     macro, classes = metrics.macro_f1_multiclass(pairs, timelines, taxonomy)
                     cells[task.value] = macro
                     per_class[task.value] = classes
@@ -661,7 +610,7 @@ def evaluate_predictions(
                         units = grouped.get((mode, chunk_len, task, m.session_id), [])
                         if not units:
                             continue
-                        lifted = aggregation.lift_session(_to_segment_predictions(units))
+                        lifted = aggregation.lift_session(units)
                         ranked.append(
                             metrics.RankedScore(
                                 session_id=m.session_id,
@@ -698,29 +647,20 @@ def _has_gold(manifest: SessionManifest, task: TaskKind) -> bool:
     return gt.e_flag(task) is not None
 
 
-def _to_segment_predictions(units: Sequence[UnitPrediction]) -> list[aggregation.SegmentPrediction]:
-    return [
-        aggregation.SegmentPrediction(
-            session_id=u.session_id, task=u.task, mode=u.mode, unit_index=u.unit_index,
-            start_s=u.start_s, end_s=u.end_s, label=u.parsed,
-        )
-        for u in units
-    ]
-
-
 def write_report_files(
     report: EvaluationReport,
-    predictions: Sequence[UnitPrediction],
+    predictions: Sequence[aggregation.SegmentPrediction],
     report_dir: Path,
 ) -> None:
     from .reporting import render_markdown
 
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
+    doc = report.to_json_dict()
     (report_dir / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (report_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
+    (report_dir / "report.md").write_text(render_markdown(doc), encoding="utf-8")
     ordered = sorted(
         predictions,
         key=lambda p: (p.mode.value, str(p.chunk_len_s), p.task.value, p.session_id, p.unit_index),
@@ -730,11 +670,11 @@ def write_report_files(
             fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
 
 
-def load_predictions(path: str | Path) -> list[UnitPrediction]:
+def load_predictions(path: str | Path) -> list[aggregation.SegmentPrediction]:
     preds = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                preds.append(UnitPrediction.from_record(json.loads(line)))
+                preds.append(aggregation.SegmentPrediction.from_record(json.loads(line)))
     return preds

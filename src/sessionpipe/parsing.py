@@ -52,9 +52,10 @@ def normalize(text: str) -> str:
 
 
 def parse_label(text: str, taxonomy: ActivityTaxonomy) -> ParsedLabel:
-    """Match text against the taxonomy: exact, then alias, then fuzzy substring.
+    """Match text against the taxonomy: exact, then alias, then fuzzy.
 
-    Fuzzy matching picks the label whose first occurrence in the text is
+    Fuzzy matching finds labels as whole words in the text ("drawing" is not
+    found in "withdrawing") and picks the one whose first occurrence is
     earliest; a position tie between different labels yields Unknown.
     """
     norm = normalize(text)
@@ -69,8 +70,9 @@ def parse_label(text: str, taxonomy: ActivityTaxonomy) -> ParsedLabel:
             return ParsedLabel(label=target, tier=MatchTier.ALIAS, raw=text)
 
     occurrences: list[tuple[int, str]] = []
+    padded = f" {norm} "
     for form, label in labels:
-        pos = norm.find(form)
+        pos = padded.find(f" {form} ")
         if pos >= 0:
             occurrences.append((pos, label))
     if occurrences:

@@ -7,7 +7,6 @@ identical inputs; golden-file tests pin each template.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -19,6 +18,11 @@ class RefinementMode(Enum):
     VIDEO_ONLY = "video_only"
     TRANSCRIPT_ONLY = "transcript_only"
     MULTIMODAL = "multimodal"
+
+
+# modes whose prompts embed a caption, and those that embed a transcript chunk
+CAPTION_MODES = frozenset({RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL})
+TRANSCRIPT_MODES = frozenset({RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL})
 
 
 class PromptingError(ValueError):
@@ -145,37 +149,13 @@ def load_templates(template_dir: str | Path) -> dict[str, str]:
     return templates
 
 
-@dataclass(frozen=True)
-class PromptBundle:
-    mode: RefinementMode
-    task: TaskKind
-    caption: str | None
-    transcript: str | None
-    taxonomy: ActivityTaxonomy
-    rendered: str
-
-
-def build_description_prompt() -> str:
-    """The fixed single-line video description prompt."""
-    return DESCRIPTION_PROMPT
-
-
-def build_transcription_prompt() -> str:
-    """The fixed transcription request prompt."""
-    return TRANSCRIPTION_PROMPT
-
-
 def _check_evidence(mode: RefinementMode, caption: str | None, transcript: str | None) -> None:
-    needs_caption = mode in (RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL)
-    needs_transcript = mode in (RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL)
-    if needs_caption and caption is None:
-        raise MissingCaptionError(f"mode {mode.value} requires a caption")
-    if needs_transcript and transcript is None:
-        raise MissingTranscriptError(f"mode {mode.value} requires a transcript")
-    if not needs_caption and caption is not None:
-        raise PromptingError(f"mode {mode.value} does not take a caption")
-    if not needs_transcript and transcript is not None:
-        raise PromptingError(f"mode {mode.value} does not take a transcript")
+    for text, modes, what, missing in ((caption, CAPTION_MODES, "caption", MissingCaptionError),
+                                       (transcript, TRANSCRIPT_MODES, "transcript", MissingTranscriptError)):
+        if mode in modes and text is None:
+            raise missing(f"mode {mode.value} requires a {what}")
+        if mode not in modes and text is not None:
+            raise PromptingError(f"mode {mode.value} does not take a {what}")
 
 
 def build_task_prompt(
@@ -185,24 +165,16 @@ def build_task_prompt(
     transcript: str | None,
     taxonomy: ActivityTaxonomy,
     templates: dict[str, str] | None = None,
-) -> PromptBundle:
+) -> str:
     """Render the refinement prompt for one (mode, task) on one window."""
     _check_evidence(mode, caption, transcript)
     if task in ACTIVITY_TASKS and not taxonomy.labels:
         raise EmptyTaxonomyError("activity tasks need a non-empty taxonomy")
     templates = templates if templates is not None else DEFAULT_TEMPLATES
     template = templates[template_key(task, mode)]
-    rendered = template.format(
+    return template.format(
         labels="\n".join(f"- {label}" for label in taxonomy.labels),
         caption="" if caption is None else caption,
         transcript="" if transcript is None else transcript,
         rubric=RUBRICS.get(task, ""),
-    )
-    return PromptBundle(
-        mode=mode,
-        task=task,
-        caption=caption,
-        transcript=transcript,
-        taxonomy=taxonomy,
-        rendered=rendered,
     )

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from . import aggregation, corpus, metrics, prompting, windowing
-from .backends import Role, parse_utterances_json, prompt_sha256, utterances_to_json
+from . import aggregation, corpus, metrics, windowing
+from .backends import BackendRequest, GenerationParams, Role, utterances_to_json
 from .corpus import (
     ACTIVITY_TASKS,
     E_TASKS,
@@ -30,9 +30,10 @@ from .corpus import (
     TaskKind,
     TimelineEntry,
 )
+from .orchestrator import ALL_MODES, ALL_TASKS, plan_extraction, plan_units, transcript_chunks
 from .parsing import MatchTier, ParsedLabel
-from .prompting import RefinementMode
-from .windowing import Segment, TimedUtterance, TranscriptChunk
+from .prompting import TRANSCRIPT_MODES, RefinementMode
+from .windowing import Segment, TimedUtterance
 
 
 class InvalidConfigError(ValueError):
@@ -67,9 +68,6 @@ CUE_MARKERS: Mapping[TaskKind, str] = {
 }
 
 NO_SIGNAL_ANSWER = "It is unclear from the evidence provided."
-
-ALL_MODES = tuple(RefinementMode)
-ALL_TASKS = tuple(TaskKind)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
             continue
         rng_cue = _derived_rng(cfg.seed, session_id, "cues", task.value)
         picks = {i for i in range(len(segments)) if rng_cue.random() < cfg.cue_segment_rate}
-        if not picks:
+        if not picks and segments:  # a session under half a window has no segments
             picks = {rng_cue.randrange(len(segments))}
         cue_segments[task] = frozenset(picks)
 
@@ -331,81 +329,35 @@ def _session_fixtures(
     modes: Sequence[RefinementMode],
     chunk_lens: Sequence[int],
 ) -> list[dict]:
-    session_id = world.manifest.session_id
+    """Answer every request a run with these modes, tasks and chunk lengths
+    sends for the session, in the run's plan order."""
+    params = GenerationParams()
     records: list[dict] = []
 
-    def add(role: Role, segment_index: int | None, prompt: str, text: str) -> None:
-        records.append(
-            {
-                "role": role.value,
-                "session_id": session_id,
-                "segment_index": segment_index,
-                "prompt_hash": prompt_sha256(prompt),
-                "text": text,
-            }
-        )
+    def add(request: BackendRequest, text: str) -> None:
+        records.append({"role": request.role.value, "session_id": request.session_id, "text": text,
+                        "segment_index": request.segment_index, "prompt_hash": request.prompt_hash})
 
-    needs_captions = any(
-        m in modes for m in (RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL)
-    )
-    needs_transcript = any(
-        m in modes for m in (RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL)
-    )
+    for request in plan_extraction(world.manifest, world.segments, modes, params):
+        if request.role is Role.CAPTIONER:
+            add(request, world.captions[request.segment_index])
+        else:
+            add(request, utterances_to_json(world.utterances))
 
-    if needs_captions:
-        description = prompting.build_description_prompt()
-        for seg, text in zip(world.segments, world.captions):
-            add(Role.CAPTIONER, seg.index, description, text)
-
-    if needs_transcript:
-        add(Role.TRANSCRIBER, None, prompting.build_transcription_prompt(), utterances_to_json(world.utterances))
-
-    chunks_by_len: dict[int, list[TranscriptChunk]] = {}
-    if needs_transcript:
-        for length in chunk_lens:
-            planned = windowing.plan_transcript_chunks(cfg.duration_s, length, session_id=session_id)
-            chunks_by_len[length] = windowing.fill_chunks(planned, world.utterances)
-
-    for mode in modes:
-        for task in tasks:
-            if mode is RefinementMode.ZERO_SHOT:
-                prompt = prompting.build_task_prompt(mode, task, None, None, cfg.taxonomy).rendered
-                for seg in world.segments:
-                    if task in ACTIVITY_TASKS:
-                        text = _activity_answer(world.caption_labels[seg.index])
-                    else:
-                        text = _binary_answer(seg.index in world.cue_segments[task])
-                    add(Role.CAPTIONER, seg.index, prompt, text)
-            elif mode is RefinementMode.VIDEO_ONLY:
-                for seg in world.segments:
-                    caption_text = world.captions[seg.index]
-                    prompt = prompting.build_task_prompt(mode, task, caption_text, None, cfg.taxonomy).rendered
-                    answer = _reasoner_answer(
-                        cfg, world, task, caption_text, seg.index, prompt_sha256(prompt)
-                    )
-                    add(Role.REASONER, seg.index, prompt, answer)
-            elif mode is RefinementMode.TRANSCRIPT_ONLY:
-                for length in chunk_lens:
-                    for chunk in chunks_by_len[length]:
-                        prompt = prompting.build_task_prompt(mode, task, None, chunk.text, cfg.taxonomy).rendered
-                        answer = _reasoner_answer(
-                            cfg, world, task, chunk.text, chunk.index, prompt_sha256(prompt)
-                        )
-                        add(Role.REASONER, chunk.index, prompt, answer)
-            else:  # multimodal: one prediction per video segment
-                for length in chunk_lens:
-                    for seg in world.segments:
-                        caption_text = world.captions[seg.index]
-                        chunk = windowing.chunk_covering(chunks_by_len[length], seg.midpoint_s)
-                        chunk_text = chunk.text if chunk is not None else ""
-                        prompt = prompting.build_task_prompt(
-                            mode, task, caption_text, chunk_text, cfg.taxonomy
-                        ).rendered
-                        evidence = caption_text + "\n" + chunk_text
-                        answer = _reasoner_answer(
-                            cfg, world, task, evidence, seg.index, prompt_sha256(prompt)
-                        )
-                        add(Role.REASONER, seg.index, prompt, answer)
+    chunks = transcript_chunks(world.manifest, world.utterances, chunk_lens) if TRANSCRIPT_MODES & set(modes) else {}
+    captions = dict(enumerate(world.captions))
+    for unit in plan_units(world.manifest, world.segments, captions, chunks, modes, tasks,
+                           chunk_lens, cfg.taxonomy, None, params):
+        index = unit.window.index
+        if unit.mode is RefinementMode.ZERO_SHOT:  # the captioner answers from the video
+            if unit.task in ACTIVITY_TASKS:
+                answer = _activity_answer(world.caption_labels[index])
+            else:
+                answer = _binary_answer(index in world.cue_segments[unit.task])
+        else:
+            evidence = "\n".join(filter(None, (unit.caption, unit.transcript)))
+            answer = _reasoner_answer(cfg, world, unit.task, evidence, index, unit.request.prompt_hash)
+        add(unit.request, answer)
     return records
 
 
@@ -428,6 +380,7 @@ def generate_corpus(
     """
     tasks = tuple(tasks) if tasks is not None else ALL_TASKS
     modes = tuple(modes) if modes is not None else ALL_MODES
+    windowing.check_chunk_lengths(chunk_lens)
     out_dir = Path(out_dir)
     corpus_dir = out_dir / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)
@@ -443,51 +396,3 @@ def generate_corpus(
             for record in _session_fixtures(cfg, world, tasks, modes, chunk_lens):
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return SimOutput(corpus_dir=corpus_dir, fixtures_path=fixtures_path, taxonomy_path=taxonomy_path)
-
-
-# ---------------------------------------------------------------------------
-# post-hoc fixture corruption
-
-
-def corrupt_fixture(
-    records: Sequence[Mapping[str, object]],
-    noise: NoiseSpec,
-    seed: int,
-    taxonomy: ActivityTaxonomy,
-) -> list[dict]:
-    """Independently corrupt each fixture record at the channel's stated rate.
-
-    Captions and zero-shot answers flip their embedded label, transcripts drop
-    utterances, reasoner label answers flip, reasoner Yes/No answers invert.
-    Deterministic per (seed, record key).
-    """
-    out: list[dict] = []
-    for record in records:
-        record = dict(record)
-        rng = _derived_rng(
-            seed, "corrupt", record["role"], record["session_id"],
-            record["segment_index"], record["prompt_hash"],
-        )
-        role = record["role"]
-        text = str(record["text"])
-        if role == Role.TRANSCRIBER.value:
-            if noise.transcript_drop_p > 0:
-                kept = [
-                    u for u in parse_utterances_json(text)
-                    if rng.random() >= noise.transcript_drop_p
-                ]
-                record["text"] = utterances_to_json(kept)
-        else:
-            flip_p = noise.caption_flip_p if role == Role.CAPTIONER.value else noise.reasoner_flip_p
-            if flip_p > 0:
-                if role == Role.REASONER.value and text in ("Yes.", "No."):
-                    if rng.random() < flip_p:
-                        record["text"] = "No." if text == "Yes." else "Yes."
-                else:
-                    label = _dominant_label(text, taxonomy.labels)
-                    if label is not None:
-                        flipped = _flip_label(label, taxonomy.labels, flip_p, rng)
-                        if flipped != label:
-                            record["text"] = text.replace(label, flipped, 1)
-        out.append(record)
-    return out

@@ -126,6 +126,15 @@ def plan_segments(
     return segments
 
 
+def check_chunk_lengths(chunk_lens: Iterable[int]) -> None:
+    """Raise UnsupportedChunkLengthError unless every length is supported."""
+    for length in chunk_lens:
+        if length not in SUPPORTED_CHUNK_LENGTHS:
+            raise UnsupportedChunkLengthError(
+                f"chunk length must be one of {SUPPORTED_CHUNK_LENGTHS}, got {length}"
+            )
+
+
 def plan_transcript_chunks(
     media_duration_s: float,
     chunk_len_s: int,
@@ -133,10 +142,7 @@ def plan_transcript_chunks(
     session_id: str = "",
 ) -> list[TranscriptChunk]:
     """Plan empty transcript chunks with the same tiling/tail rule as segments."""
-    if chunk_len_s not in SUPPORTED_CHUNK_LENGTHS:
-        raise UnsupportedChunkLengthError(
-            f"chunk length must be one of {SUPPORTED_CHUNK_LENGTHS}, got {chunk_len_s}"
-        )
+    check_chunk_lengths((chunk_len_s,))
     return [
         TranscriptChunk(
             session_id=session_id,

@@ -20,7 +20,7 @@ from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
 from sessionpipe.parsing import MatchTier, ParsedLabel
-from sessionpipe.prompting import RefinementMode, build_description_prompt
+from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import fill_chunks, plan_segments, plan_transcript_chunks
 
@@ -253,19 +253,19 @@ def test_determinism_and_idempotence(tmp_path):
 
 @criterion(9, "description prompt matches the pinned sentence; every template matches its golden file")
 def test_prompt_pinning():
-    assert build_description_prompt() == (
+    assert DESCRIPTION_PROMPT == (
         "Please provide a detailed description of the video, focusing on "
         "the main subjects, their actions, and the background scenes."
     )
     from .test_prompting import GOLDEN_DIR, GOLDEN_TAXONOMY, _golden_inputs
-    from sessionpipe.prompting import build_task_prompt, build_transcription_prompt
+    from sessionpipe.prompting import build_task_prompt
 
-    assert build_description_prompt() == (GOLDEN_DIR / "description.txt").read_text()
-    assert build_transcription_prompt() == (GOLDEN_DIR / "transcription.txt").read_text()
+    assert DESCRIPTION_PROMPT == (GOLDEN_DIR / "description.txt").read_text()
+    assert TRANSCRIPTION_PROMPT == (GOLDEN_DIR / "transcription.txt").read_text()
     for task in TaskKind:
         for mode in RefinementMode:
             caption, transcript = _golden_inputs(mode)
-            rendered = build_task_prompt(mode, task, caption, transcript, GOLDEN_TAXONOMY).rendered
+            rendered = build_task_prompt(mode, task, caption, transcript, GOLDEN_TAXONOMY)
             golden = (GOLDEN_DIR / f"{task.value}.{mode.value}.txt").read_text(encoding="utf-8")
             assert rendered == golden, f"{task.value}.{mode.value}"
 

@@ -287,12 +287,12 @@ class TestHttpBackend:
         server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         try:
-            from sessionpipe.prompting import build_description_prompt
+            from sessionpipe.prompting import DESCRIPTION_PROMPT
 
             backend = HttpChatBackend(
                 HttpBackendConfig(base_url=f"http://127.0.0.1:{server.server_address[1]}")
             )
-            prompt = build_description_prompt()
+            prompt = DESCRIPTION_PROMPT
             request = BackendRequest(
                 role=Role.CAPTIONER, session_id="s1", prompt=prompt, segment_index=0, media_ref="v"
             )

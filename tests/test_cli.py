@@ -96,7 +96,19 @@ def test_report_rerenders_markdown(runner, sim_tree, tmp_path):
     assert out_md.read_text() == (tmp_path / "report" / "report.md").read_text()
 
 
-def test_unknown_mode_rejected(runner, sim_tree, tmp_path):
-    args = _run_args(sim_tree, tmp_path, **{"--modes": "telepathy"})
-    result = runner.invoke(main, args)
-    assert result.exit_code != 0
+@pytest.mark.parametrize(
+    "option,value",
+    [("--modes", "telepathy"), ("--modes", ""), ("--chunk-lens", "16,"), ("--chunk-lens", "32")],
+)
+def test_unknown_mode_rejected(runner, sim_tree, tmp_path, option, value):
+    result = runner.invoke(main, _run_args(sim_tree, tmp_path, **{option: value}))
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("value", ["16,", "32"])
+def test_simulate_rejects_bad_chunk_lens(runner, tmp_path, value):
+    result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "sim"), "--chunk-lens", value])
+    assert result.exit_code == 2, result.output
+    assert not (tmp_path / "sim").exists()

@@ -1,13 +1,19 @@
 import json
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
 from sessionpipe.backends import Backend, FixtureStore, MockBackend
+from sessionpipe.corpus import TaskKind
 from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import SimConfig, generate_corpus
+from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
 
 ALL_MODES = tuple(RefinementMode)
 
@@ -311,3 +317,44 @@ class TestRunConfigValidation:
         cfg = make_config(sim_out, tmp_path, fixtures_path=None)
         with pytest.raises(ValueError):
             orchestrator.build_backend(cfg)
+
+    def test_unsupported_chunk_len_rejected_before_any_request(self, sim_out, tmp_path):
+        backend = MockBackend(sim_out.fixtures_path)
+        with pytest.raises(UnsupportedChunkLengthError):
+            run(make_config(sim_out, tmp_path, chunk_lens=(16, 32)), backend=backend)
+        assert backend.call_count == 0
+        assert not (tmp_path / "report").exists()
+
+
+def _fixture_keys(path):
+    with open(path, encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    return {(r["role"], r["session_id"], r["segment_index"], r["prompt_hash"]) for r in records}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_sessions=st.integers(min_value=1, max_value=2),
+    duration_s=st.integers(min_value=1, max_value=64),
+    modes=st.sets(st.sampled_from(RefinementMode), min_size=1),
+    tasks=st.sets(st.sampled_from(TaskKind), min_size=1),
+    chunk_lens=st.sets(st.sampled_from(SUPPORTED_CHUNK_LENGTHS), min_size=1),
+)
+@settings(max_examples=25, deadline=None)
+def test_run_requests_exactly_the_simulated_fixtures(seed, n_sessions, duration_s, modes, tasks, chunk_lens):
+    with tempfile.TemporaryDirectory() as td:
+        out = generate_corpus(
+            SimConfig(seed=seed, n_sessions=n_sessions, duration_s=float(duration_s)),
+            Path(td) / "sim", tasks=tuple(tasks), modes=tuple(modes), chunk_lens=tuple(chunk_lens),
+        )
+        cfg = RunConfig(
+            corpus_dir=out.corpus_dir, taxonomy_path=out.taxonomy_path, report_dir=Path(td) / "report",
+            cache_dir=Path(td) / "cache", fixtures_path=out.fixtures_path,
+            modes=tuple(modes), tasks=tuple(tasks), chunk_lens=tuple(chunk_lens),
+        )
+        report = run(cfg)
+        assert report.failures == []
+        requested = set()
+        for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl"):
+            requested |= _fixture_keys(cfg.cache_dir / name)
+        assert requested == _fixture_keys(out.fixtures_path)

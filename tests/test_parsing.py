@@ -44,6 +44,11 @@ class TestParseLabel:
         taxonomy = ActivityTaxonomy(name="t", labels=("toy", "toy play"))
         assert parse_label("we saw toy play here", taxonomy).tier is MatchTier.UNKNOWN
 
+    @pytest.mark.parametrize("text", ["Withdrawing from the table.", "They watch a screenplay."])
+    def test_fuzzy_matches_whole_words_only(self, text):
+        taxonomy = ActivityTaxonomy(name="t", labels=("drawing", "play"))
+        assert parse_label(text, taxonomy).tier is MatchTier.UNKNOWN
+
     def test_totality_never_raises(self, taxonomy):
         for text in ("", "   ", "?!", "\n\n", "42"):
             assert parse_label(text, taxonomy).tier in set(MatchTier)
@@ -87,6 +92,24 @@ def test_wrapping_prose_degrades_exact_to_fuzzy_same_label(prefix, suffix, label
     parsed = parse_label(text, taxonomy)
     assert parsed.label == label
     assert parsed.tier in (MatchTier.EXACT, MatchTier.FUZZY)
+
+
+_LETTERS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=4)
+
+
+@given(
+    prefix=_FILLER_WORDS,
+    label_index=st.integers(min_value=0, max_value=2),
+    before=st.one_of(st.just(""), _LETTERS),
+    after=st.one_of(st.just(""), _LETTERS),
+)
+@settings(max_examples=200, deadline=None)
+def test_label_glued_to_extra_letters_never_matches(prefix, label_index, before, after):
+    taxonomy = ActivityTaxonomy(name="t", labels=("drawing", "toy play", "singing"))
+    if not before and not after:
+        after = "s"
+    text = " ".join([*prefix, before + taxonomy.labels[label_index] + after, "today"])
+    assert parse_label(text, taxonomy).tier is MatchTier.UNKNOWN
 
 
 @given(text=st.text(max_size=80))

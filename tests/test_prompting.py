@@ -5,15 +5,17 @@ import pytest
 
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.prompting import (
+    CAPTION_MODES,
     DEFAULT_TEMPLATES,
+    DESCRIPTION_PROMPT,
+    TRANSCRIPT_MODES,
+    TRANSCRIPTION_PROMPT,
     EmptyTaxonomyError,
     MissingCaptionError,
     MissingTranscriptError,
     PromptingError,
     RefinementMode,
-    build_description_prompt,
     build_task_prompt,
-    build_transcription_prompt,
     load_templates,
     template_key,
 )
@@ -30,72 +32,69 @@ GOLDEN_TRANSCRIPT = "lets read this one together. which page do you like?"
 
 
 def _golden_inputs(mode):
-    caption = GOLDEN_CAPTION if mode in (RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL) else None
-    transcript = (
-        GOLDEN_TRANSCRIPT
-        if mode in (RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL)
-        else None
-    )
+    caption = GOLDEN_CAPTION if mode in CAPTION_MODES else None
+    transcript = GOLDEN_TRANSCRIPT if mode in TRANSCRIPT_MODES else None
     return caption, transcript
 
 
 class TestDescriptionPrompt:
     def test_exact_sentence(self):
-        assert build_description_prompt() == (
+        assert DESCRIPTION_PROMPT == (
             "Please provide a detailed description of the video, focusing on "
             "the main subjects, their actions, and the background scenes."
         )
 
     def test_idempotent(self):
-        assert build_description_prompt() == build_description_prompt()
+        # the template table carries the same fixed prompt
+        assert DEFAULT_TEMPLATES["description"] == DESCRIPTION_PROMPT
 
     def test_pinned_hash(self):
-        digest = hashlib.sha256(build_description_prompt().encode()).hexdigest()
+        digest = hashlib.sha256(DESCRIPTION_PROMPT.encode()).hexdigest()
         assert digest == "85d40b1dadcb317de8a0a273e7fdddbdb073d1de3500093ba17de1b0aa71cc31"
-        assert build_description_prompt() == GOLDEN_DIR.joinpath("description.txt").read_text()
+        assert DESCRIPTION_PROMPT == GOLDEN_DIR.joinpath("description.txt").read_text()
 
 
 @pytest.mark.parametrize("task", list(TaskKind))
 @pytest.mark.parametrize("mode", list(RefinementMode))
 def test_golden_files_pin_every_template(task, mode):
     caption, transcript = _golden_inputs(mode)
-    bundle = build_task_prompt(mode, task, caption, transcript, GOLDEN_TAXONOMY)
+    prompt = build_task_prompt(mode, task, caption, transcript, GOLDEN_TAXONOMY)
     golden = GOLDEN_DIR.joinpath(f"{task.value}.{mode.value}.txt").read_text(encoding="utf-8")
-    assert bundle.rendered == golden
+    assert prompt == golden
 
 
 def test_transcription_prompt_golden():
-    assert build_transcription_prompt() == GOLDEN_DIR.joinpath("transcription.txt").read_text()
+    assert TRANSCRIPTION_PROMPT == GOLDEN_DIR.joinpath("transcription.txt").read_text()
 
 
 class TestTaskPromptContract:
     def test_activity_prompt_lists_every_label_once(self, taxonomy):
-        bundle = build_task_prompt(
+        prompt = build_task_prompt(
             RefinementMode.MULTIMODAL, TaskKind.ACTIVITY_RECOGNITION, "cap", "tr", taxonomy
         )
-        lines = bundle.rendered.splitlines()
+        lines = prompt.splitlines()
         for label in taxonomy.labels:
             assert lines.count(f"- {label}") == 1
 
     def test_multimodal_contains_both_blocks(self, taxonomy):
-        bundle = build_task_prompt(
+        prompt = build_task_prompt(
             RefinementMode.MULTIMODAL, TaskKind.ACTIVITY_RECOGNITION, "CAP", "TRANS", taxonomy
         )
-        assert "Video description:\nCAP" in bundle.rendered
-        assert "Speech transcript:\nTRANS" in bundle.rendered
+        assert "Video description:\nCAP" in prompt
+        assert "Speech transcript:\nTRANS" in prompt
 
     def test_e2_prompt_mentions_anger_and_asks_yes_no(self, taxonomy):
-        bundle = build_task_prompt(
+        prompt = build_task_prompt(
             RefinementMode.TRANSCRIPT_ONLY, TaskKind.E2_TANTRUMS, None, "stop it! *yelling*", taxonomy
         )
-        assert "anger or disruption" in bundle.rendered
-        assert bundle.rendered.endswith("Answer Yes or No.")
+        assert "anger or disruption" in prompt
+        assert prompt.endswith("Answer Yes or No.")
 
     def test_activity_prompt_asks_for_one_label(self, taxonomy):
-        bundle = build_task_prompt(
+        prompt = build_task_prompt(
             RefinementMode.VIDEO_ONLY, TaskKind.ACTIVITY_SEGMENTATION, "cap", None, taxonomy
         )
-        assert bundle.rendered.endswith("Answer with exactly one label from the list.")
+        assert prompt.endswith("Answer with exactly one label from the list.")
 
     def test_missing_caption(self, taxonomy):
         with pytest.raises(MissingCaptionError):
@@ -122,10 +121,9 @@ class TestTaskPromptContract:
     def test_injection_contained_to_blocks(self, taxonomy):
         sentinel_cap = "CAPTION_SENTINEL {labels} {rubric}"
         sentinel_tr = "TRANSCRIPT_SENTINEL"
-        bundle = build_task_prompt(
+        rendered = build_task_prompt(
             RefinementMode.MULTIMODAL, TaskKind.ACTIVITY_RECOGNITION, sentinel_cap, sentinel_tr, taxonomy
         )
-        rendered = bundle.rendered
         assert rendered.count(sentinel_cap) == 1
         assert rendered.count(sentinel_tr) == 1
         cap_pos = rendered.index(sentinel_cap)
@@ -136,7 +134,7 @@ class TestTaskPromptContract:
     def test_rendered_is_deterministic(self, taxonomy):
         first = build_task_prompt(RefinementMode.VIDEO_ONLY, TaskKind.E1_OVERACTIVITY, "c", None, taxonomy)
         second = build_task_prompt(RefinementMode.VIDEO_ONLY, TaskKind.E1_OVERACTIVITY, "c", None, taxonomy)
-        assert first.rendered == second.rendered
+        assert first == second
 
 
 class TestTemplateOverrides:
@@ -144,12 +142,12 @@ class TestTemplateOverrides:
         key = template_key(TaskKind.ACTIVITY_RECOGNITION, RefinementMode.VIDEO_ONLY)
         (tmp_path / f"{key}.txt").write_text("Pick from:\n{labels}\nSaw: {caption}\nAnswer.")
         templates = load_templates(tmp_path)
-        bundle = build_task_prompt(
+        prompt = build_task_prompt(
             RefinementMode.VIDEO_ONLY, TaskKind.ACTIVITY_RECOGNITION, "CAP", None, taxonomy,
             templates=templates,
         )
-        assert bundle.rendered.startswith("Pick from:\n- shared book reading")
-        assert "Saw: CAP" in bundle.rendered
+        assert prompt.startswith("Pick from:\n- shared book reading")
+        assert "Saw: CAP" in prompt
 
     def test_unknown_template_name_rejected(self, tmp_path):
         (tmp_path / "mystery.txt").write_text("x")

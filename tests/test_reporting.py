@@ -22,13 +22,13 @@ def report(tmp_path_factory):
 
 
 def test_one_table_row_per_configuration(report):
-    markdown = render_markdown(report)
+    markdown = render_markdown(report.to_json_dict())
     assert "| Zero-shot |" in markdown
     assert "| Multimodal (16s) |" in markdown
 
 
 def test_per_class_rows_follow_taxonomy_order(report):
-    markdown = render_markdown(report)
+    markdown = render_markdown(report.to_json_dict())
     lines = [l for l in markdown.splitlines() if l.startswith("| ")]
     ordered = [label for label in report.taxonomy_labels]
     per_class_rows = [l.split("|")[1].strip() for l in lines if l.split("|")[1].strip() in ordered]
@@ -39,7 +39,7 @@ def test_per_class_rows_follow_taxonomy_order(report):
 
 
 def test_metric_cells_formatted(report):
-    markdown = render_markdown(report)
+    markdown = render_markdown(report.to_json_dict())
     row_line = next(l for l in markdown.splitlines() if l.startswith("| Multimodal"))
     assert "1.000" in row_line
 

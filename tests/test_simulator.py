@@ -2,17 +2,15 @@ import json
 
 import pytest
 
-from sessionpipe.backends import FixtureStore, prompt_sha256
+from sessionpipe.backends import prompt_sha256
 from sessionpipe.corpus import E_TASKS, TaskKind, load_corpus, load_taxonomy
-from sessionpipe.prompting import RefinementMode, build_description_prompt
+from sessionpipe.prompting import DESCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import (
     DEFAULT_E_BASE_RATES,
-    DEFAULT_SIM_TAXONOMY,
     InvalidConfigError,
     NoiseSpec,
     SimConfig,
     build_manifests,
-    corrupt_fixture,
     generate_corpus,
 )
 
@@ -85,7 +83,7 @@ class TestGeneratedCorpus:
         out = generate_corpus(cfg, tmp_path, modes=(RefinementMode.VIDEO_ONLY,), chunk_lens=(16,))
         taxonomy = load_taxonomy(out.taxonomy_path)
         manifests = {m.session_id: m for m in load_corpus(out.corpus_dir, taxonomy)}
-        description_hash = prompt_sha256(build_description_prompt())
+        description_hash = prompt_sha256(DESCRIPTION_PROMPT)
         from sessionpipe import metrics, windowing
 
         checked = 0
@@ -124,53 +122,3 @@ class TestGeneratedCorpus:
             has_presence = any(manifest.ground_truth.e_flag(t) for t in E_TASKS)
             if has_presence:
                 assert yes_by_session.get(manifest.session_id, 0) >= 1
-
-
-class TestCorruptFixture:
-    def _caption_records(self, tmp_path, n_sessions=3):
-        cfg = SimConfig(seed=9, n_sessions=n_sessions)
-        out = generate_corpus(cfg, tmp_path, modes=(RefinementMode.VIDEO_ONLY,),
-                              tasks=(TaskKind.ACTIVITY_RECOGNITION,), chunk_lens=(16,))
-        return read_records(out.fixtures_path)
-
-    def test_zero_noise_is_identity(self, tmp_path):
-        records = self._caption_records(tmp_path)
-        assert corrupt_fixture(records, NoiseSpec(), seed=1, taxonomy=DEFAULT_SIM_TAXONOMY) == records
-
-    def test_full_caption_flip_removes_every_true_label(self, tmp_path):
-        records = self._caption_records(tmp_path)
-        corrupted = corrupt_fixture(
-            records, NoiseSpec(caption_flip_p=1.0), seed=1, taxonomy=DEFAULT_SIM_TAXONOMY
-        )
-        description_hash = prompt_sha256(build_description_prompt())
-        flips = 0
-        for before, after in zip(records, corrupted):
-            if before["prompt_hash"] != description_hash:
-                continue
-            assert before["text"] != after["text"]
-            flips += 1
-        assert flips == 3 * 20
-
-    def test_half_rate_flip_count_in_binomial_band(self, tmp_path):
-        cfg = SimConfig(seed=2, n_sessions=50)  # 1000 caption records
-        out = generate_corpus(cfg, tmp_path, modes=(RefinementMode.VIDEO_ONLY,),
-                              tasks=(TaskKind.ACTIVITY_RECOGNITION,), chunk_lens=(16,))
-        records = [r for r in read_records(out.fixtures_path) if r["role"] == "captioner"]
-        assert len(records) == 1000
-        corrupted = corrupt_fixture(
-            records, NoiseSpec(caption_flip_p=0.5), seed=4, taxonomy=DEFAULT_SIM_TAXONOMY
-        )
-        flipped = sum(1 for b, a in zip(records, corrupted) if b["text"] != a["text"])
-        assert 400 <= flipped <= 600
-
-    def test_deterministic_per_seed(self, tmp_path):
-        records = self._caption_records(tmp_path)
-        first = corrupt_fixture(records, NoiseSpec(caption_flip_p=0.5), seed=8, taxonomy=DEFAULT_SIM_TAXONOMY)
-        second = corrupt_fixture(records, NoiseSpec(caption_flip_p=0.5), seed=8, taxonomy=DEFAULT_SIM_TAXONOMY)
-        assert first == second
-
-    def test_corrupted_set_still_loads_as_fixture_store(self, tmp_path):
-        records = self._caption_records(tmp_path)
-        corrupted = corrupt_fixture(records, NoiseSpec(caption_flip_p=1.0), seed=1, taxonomy=DEFAULT_SIM_TAXONOMY)
-        store = FixtureStore(corrupted)
-        assert len(store) == len({(r["role"], r["session_id"], r["segment_index"], r["prompt_hash"]) for r in records})
