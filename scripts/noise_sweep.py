@@ -38,7 +38,7 @@ def ar_macro(workdir: Path, seed: int, flip_p: float) -> float:
         chunk_lens=(16,),
     )
     report = orchestrator.run(cfg)
-    return report.row(RefinementMode.MULTIMODAL, 16).cells["activity_recognition"]
+    return orchestrator.report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_recognition"]
 
 
 def main() -> None:

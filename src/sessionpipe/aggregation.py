@@ -88,30 +88,6 @@ class SegmentPrediction:
         )
 
 
-@dataclass(frozen=True)
-class SessionPrediction:
-    """Session-level decision: an activity set for recognition, a score in
-    [0, 1] for the binary behavior codes. Segmentation has no session lift."""
-
-    session_id: str
-    task: TaskKind
-    mode: RefinementMode
-    activity_set: frozenset[str] | None = None
-    score: float | None = None
-
-    def __post_init__(self):
-        if self.task is TaskKind.ACTIVITY_RECOGNITION:
-            if self.activity_set is None or self.score is not None:
-                raise ValueError("recognition predictions carry an activity_set only")
-        elif self.task.is_binary:
-            if self.score is None or self.activity_set is not None:
-                raise ValueError("binary-task predictions carry a score only")
-            if not 0.0 <= self.score <= 1.0:
-                raise ValueError(f"score must be in [0, 1], got {self.score}")
-        else:
-            raise ValueError(f"{self.task.value} is evaluated per segment, not per session")
-
-
 def _check_single_group(preds: Sequence[SegmentPrediction]) -> None:
     sessions = {p.session_id for p in preds}
     modes = {p.mode for p in preds}
@@ -156,24 +132,15 @@ def abnormal_ratio(preds: Sequence[SegmentPrediction]) -> float:
 def lift_session(
     preds: Sequence[SegmentPrediction],
     min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S,
-) -> SessionPrediction:
-    """Lift one session's window predictions to a SessionPrediction."""
+) -> frozenset[str] | float:
+    """One session's decision from its window predictions: the activity set
+    for recognition, the Presence ratio for E1-E3. Segmentation is scored per
+    segment and has no session lift."""
     if not preds:
         raise EmptySessionError("cannot lift an empty prediction list")
-    _check_single_group(preds)
-    head = preds[0]
-    if head.task is TaskKind.ACTIVITY_SEGMENTATION:
+    task = preds[0].task
+    if task is TaskKind.ACTIVITY_SEGMENTATION:
         raise ValueError("segmentation is evaluated per segment, not lifted per session")
-    if head.task is TaskKind.ACTIVITY_RECOGNITION:
-        return SessionPrediction(
-            session_id=head.session_id,
-            task=head.task,
-            mode=head.mode,
-            activity_set=session_activities(preds, min_duration_s),
-        )
-    return SessionPrediction(
-        session_id=head.session_id,
-        task=head.task,
-        mode=head.mode,
-        score=abnormal_ratio(preds),
-    )
+    if task is TaskKind.ACTIVITY_RECOGNITION:
+        return session_activities(preds, min_duration_s)
+    return abnormal_ratio(preds)

@@ -45,6 +45,10 @@ class MalformedResponseError(BackendError):
     pass
 
 
+class RequestRejectedError(BackendError):
+    """A 4xx answer that retrying cannot change (all but 408 and 429)."""
+
+
 class UnparseableTimestampsError(BackendError):
     pass
 
@@ -219,8 +223,9 @@ class HttpChatBackend(Backend):
 
     Sends ``POST {base_url}/v1/chat/completions`` with the prompt as a single
     user message. Session/segment/media context rides in a ``metadata`` object
-    that standard servers ignore and fixture-replay servers key on. Transport
-    failures retry with exponential backoff up to max_retries. Each calling
+    that standard servers ignore and fixture-replay servers key on. Timeouts,
+    connection errors, 408, 429 and 5xx answers retry with exponential backoff
+    up to max_retries; any other 4xx fails at once. Each calling
     thread gets its own ``requests.Session``, made on its first request.
     """
 
@@ -273,7 +278,10 @@ class HttpChatBackend(Backend):
         except requests.RequestException as exc:
             raise TransportError(str(exc)) from exc
         if resp.status_code != 200:
-            raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            message = f"HTTP {resp.status_code}: {resp.text[:200]}"
+            if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                raise RequestRejectedError(message)
+            raise TransportError(message)
         try:
             payload = resp.json()
             return payload["choices"][0]["message"]["content"]

@@ -116,8 +116,8 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
         raise click.BadParameter(str(exc)) from None
     report = orchestrator.run(cfg)
     click.echo(f"report written to {report_dir}")
-    if report.invalid_sessions:
-        click.echo(f"invalid sessions: {', '.join(report.invalid_sessions)}", err=True)
+    if report["invalid_sessions"]:
+        click.echo(f"invalid sessions: {', '.join(report['invalid_sessions'])}", err=True)
         if not allow_partial:
             sys.exit(1)
 

@@ -109,17 +109,6 @@ class ActivityTaxonomy:
             tuple((normalize(alias), target) for alias, target in self.aliases.items()),
         )
 
-    def canonical(self, name: str) -> str | None:
-        """Resolve a label or alias (case-insensitive) to its canonical label."""
-        folded = name.casefold()
-        for label in self.labels:
-            if label.casefold() == folded:
-                return label
-        for alias, target in self.aliases.items():
-            if alias.casefold() == folded:
-                return target
-        return None
-
 
 @dataclass(frozen=True)
 class TimelineEntry:

@@ -1,8 +1,8 @@
 """Evaluation metrics: macro-F1 (multi-label and multi-class) and PR-AUC.
 
 Per-class F1 uses the 0/0 -> 0 convention; the macro average runs over every
-taxonomy class unless an explicit class subset is given. PR-AUC is step-wise
-average precision with tied scores grouped into a single threshold step.
+taxonomy class, in taxonomy order. PR-AUC is step-wise average precision with
+tied scores grouped into a single threshold step.
 """
 
 from __future__ import annotations
@@ -49,26 +49,21 @@ class RankedScore:
 
 
 def _macro(per_class: Mapping[str, float]) -> float:
-    return sum(per_class.values()) / len(per_class) if per_class else 0.0
+    return sum(per_class.values()) / len(per_class)  # a taxonomy has at least one label
 
 
 def macro_f1_multilabel(
     preds: Mapping[str, frozenset[str] | set[str]],
     gold: Mapping[str, frozenset[str] | set[str]],
     taxonomy: ActivityTaxonomy,
-    classes: Sequence[str] | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Session-level multi-label macro-F1 over set-valued predictions.
-
-    `classes` defaults to every taxonomy label, in taxonomy order.
-    """
+    """Session-level multi-label macro-F1 over set-valued predictions."""
     if set(preds) != set(gold):
         raise KeyMismatchError(
             f"prediction sessions {sorted(preds)} != gold sessions {sorted(gold)}"
         )
-    classes = tuple(classes) if classes is not None else taxonomy.labels
     per_class: dict[str, float] = {}
-    for cls in classes:
+    for cls in taxonomy.labels:
         tp = fp = fn = 0
         for session in gold:
             in_pred = cls in preds[session]
@@ -94,34 +89,25 @@ def resolve_segment_gold(
 
 def macro_f1_multiclass(
     preds: Sequence[tuple[Segment, str | None]],
-    timeline: Sequence[TimelineEntry] | Mapping[str, Sequence[TimelineEntry]],
+    timelines: Mapping[str, Sequence[TimelineEntry]],
     taxonomy: ActivityTaxonomy,
-    classes: Sequence[str] | None = None,
 ) -> tuple[float, dict[str, float]]:
-    """Segment-level multi-class macro-F1 against an annotated timeline.
+    """Segment-level multi-class macro-F1 against annotated timelines.
 
-    A segment's gold label is the interval covering its midpoint; segments not
-    covered by any interval are excluded. Unknown predictions (None) are always
-    wrong: they add a false negative for the gold class and no false positive.
-    `timeline` is either one interval list or a mapping from session_id to
-    interval lists when segments pool across sessions.
+    `timelines` maps each session_id to its interval list. A segment's gold
+    label is the interval covering its midpoint; segments not covered by any
+    interval are excluded. Unknown predictions (None) are always wrong: they
+    add a false negative for the gold class and no false positive.
     """
-    by_session = timeline if isinstance(timeline, Mapping) else None
-    flat = [] if by_session else list(timeline)
-    for entries in (by_session.values() if by_session else [flat]):
+    for entries in timelines.values():
         for entry in entries:
             if entry.label not in taxonomy:
                 raise KeyMismatchError(f"timeline label '{entry.label}' not in taxonomy")
-    classes = tuple(classes) if classes is not None else taxonomy.labels
     resolved: list[tuple[str | None, str]] = []
     for segment, pred_label in preds:
-        if by_session is not None:
-            if segment.session_id not in by_session:
-                raise KeyMismatchError(f"no gold timeline for session '{segment.session_id}'")
-            entries = by_session[segment.session_id]
-        else:
-            entries = flat
-        gold_label = resolve_segment_gold(segment, entries)
+        if segment.session_id not in timelines:
+            raise KeyMismatchError(f"no gold timeline for session '{segment.session_id}'")
+        gold_label = resolve_segment_gold(segment, timelines[segment.session_id])
         if gold_label is None:
             continue
         if pred_label is not None and pred_label not in taxonomy:
@@ -129,7 +115,7 @@ def macro_f1_multiclass(
         resolved.append((pred_label, gold_label))
 
     per_class: dict[str, float] = {}
-    for cls in classes:
+    for cls in taxonomy.labels:
         tp = sum(1 for pred, gold in resolved if pred == cls and gold == cls)
         fp = sum(1 for pred, gold in resolved if pred == cls and gold != cls)
         fn = sum(1 for pred, gold in resolved if pred != cls and gold == cls)

@@ -108,55 +108,6 @@ class RunConfig:
         windowing.check_chunk_lengths(self.chunk_lens)
 
 
-@dataclass
-class ReportRow:
-    mode: RefinementMode
-    chunk_len_s: int | None
-    cells: dict[str, float | None]
-    per_class: dict[str, dict[str, float]]
-    n_sessions: dict[str, int]
-    notes: dict[str, str] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "chunk_len_s": self.chunk_len_s,
-            "metrics": self.cells,
-            "per_class": self.per_class,
-            "n_sessions": self.n_sessions,
-            "notes": self.notes,
-        }
-
-
-@dataclass
-class EvaluationReport:
-    backend_id: str
-    taxonomy_name: str
-    taxonomy_labels: list[str]
-    config: dict
-    rows: list[ReportRow]
-    invalid_sessions: list[str]
-    failures: list[dict]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "backend_id": self.backend_id,
-            "taxonomy": self.taxonomy_name,
-            "taxonomy_labels": self.taxonomy_labels,
-            "config": self.config,
-            "rows": [row.to_dict() for row in self.rows],
-            "invalid_sessions": self.invalid_sessions,
-            "failures": self.failures,
-        }
-
-    def row(self, mode: RefinementMode, chunk_len_s: int | None = None) -> ReportRow:
-        for candidate in self.rows:
-            if candidate.mode is mode and candidate.chunk_len_s == chunk_len_s:
-                return candidate
-        raise KeyError(f"no report row for mode={mode.value} chunk_len={chunk_len_s}")
-
-
 class ResponseCache:
     """Content-addressed response store, persisted as per-role JSONL files."""
 
@@ -339,15 +290,18 @@ def _evidence_windows(
     mode: RefinementMode,
     segments: Sequence[Segment],
     captions: Mapping[int, str],
-    chunks: Sequence[TranscriptChunk],
+    chunks: Sequence[TranscriptChunk] | None,
 ) -> list[tuple[Segment | TranscriptChunk, str | None, str | None]]:
-    """(window, caption, transcript) for each unit of one mode and chunk length."""
+    """(window, caption, transcript) for each unit of one mode and chunk length.
+
+    ``chunks`` is None when the session's transcript extraction failed.
+    """
     if mode is RefinementMode.ZERO_SHOT:
         return [(seg, None, None) for seg in segments]
     if mode is RefinementMode.TRANSCRIPT_ONLY:
-        return [(chunk, None, chunk.text) for chunk in chunks]
-    if mode is RefinementMode.MULTIMODAL and not chunks:
-        return []  # transcript extraction failed, or the session is under half a chunk
+        return [(chunk, None, chunk.text) for chunk in chunks or ()]
+    if mode is RefinementMode.MULTIMODAL and chunks is None:
+        return []  # transcript extraction failed; counted there
     windows: list[tuple[Segment | TranscriptChunk, str | None, str | None]] = []
     for seg in segments:
         caption = captions.get(seg.index)
@@ -378,12 +332,14 @@ def plan_units(
     Zero-shot asks the captioner about each segment directly; the other modes
     ask the reasoner about the extracted evidence. Segments without a caption
     (their extraction failed and was counted there) are left out, and so is
-    multimodal at a chunk length with no transcript chunks.
+    multimodal when the session has no transcript (its extraction failed). A
+    segment past the last transcript chunk, or in a session too short for any
+    chunk, gets an empty transcript.
     """
     units = []
     for mode in modes:
         for chunk_len in _chunk_options(mode, chunk_lens):
-            windows = _evidence_windows(mode, segments, captions, chunks.get(chunk_len, []))
+            windows = _evidence_windows(mode, segments, captions, chunks.get(chunk_len))
             for task in tasks:
                 if mode is RefinementMode.ZERO_SHOT:
                     prompt = build_task_prompt(mode, task, None, None, taxonomy, templates)
@@ -409,8 +365,9 @@ class _SessionPlan:
     failed_segments: set[int] = field(default_factory=set)
 
 
-def run(cfg: RunConfig, backend: Backend | None = None) -> EvaluationReport:
-    """Execute the full pipeline for one configuration and write report files."""
+def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
+    """Execute the full pipeline for one configuration, write the report files
+    and return the report.json document."""
     taxonomy = load_taxonomy(cfg.taxonomy_path)
     manifests = load_corpus(cfg.corpus_dir, taxonomy)
     templates = load_templates(cfg.template_dir) if cfg.template_dir is not None else None
@@ -547,11 +504,10 @@ def evaluate_predictions(
     backend_id: str,
     invalid_sessions: Sequence[str] = (),
     failures: Sequence[dict] = (),
-) -> EvaluationReport:
-    """Score parsed predictions against corpus ground truth, one row per
-    (mode, chunk length) configuration."""
+) -> dict:
+    """Score parsed predictions against corpus ground truth: the report.json
+    document, with one row per (mode, chunk length) configuration."""
     invalid = set(invalid_sessions)
-    by_id = {m.session_id: m for m in manifests}
     grouped: dict[tuple[RefinementMode, int | None, TaskKind, str], list[aggregation.SegmentPrediction]] = {}
     for pred in predictions:
         if pred.session_id in invalid:
@@ -580,15 +536,12 @@ def evaluate_predictions(
                     gold_map = {}
                     for m in sessions:
                         units = grouped.get((mode, chunk_len, task, m.session_id), [])
-                        if units:
-                            lifted = aggregation.lift_session(units, cfg.min_activity_duration_s)
-                            preds_map[m.session_id] = lifted.activity_set
-                        else:
-                            preds_map[m.session_id] = frozenset()
+                        preds_map[m.session_id] = (
+                            aggregation.lift_session(units, cfg.min_activity_duration_s) if units else frozenset()
+                        )
                         gold_map[m.session_id] = m.ground_truth.session_activities
-                    macro, classes = metrics.macro_f1_multilabel(preds_map, gold_map, taxonomy)
-                    cells[task.value] = macro
-                    per_class[task.value] = classes
+                    cells[task.value], per_class[task.value] = metrics.macro_f1_multilabel(
+                        preds_map, gold_map, taxonomy)
                 elif task is TaskKind.ACTIVITY_SEGMENTATION:
                     pairs = []
                     timelines: dict[str, Sequence[TimelineEntry]] = {}
@@ -601,20 +554,18 @@ def evaluate_predictions(
                             )
                             assert isinstance(pred.label, ParsedLabel)
                             pairs.append((segment, pred.label.label))
-                    macro, classes = metrics.macro_f1_multiclass(pairs, timelines, taxonomy)
-                    cells[task.value] = macro
-                    per_class[task.value] = classes
+                    cells[task.value], per_class[task.value] = metrics.macro_f1_multiclass(
+                        pairs, timelines, taxonomy)
                 else:
                     ranked = []
                     for m in sessions:
                         units = grouped.get((mode, chunk_len, task, m.session_id), [])
                         if not units:
                             continue
-                        lifted = aggregation.lift_session(units)
                         ranked.append(
                             metrics.RankedScore(
                                 session_id=m.session_id,
-                                score=lifted.score,
+                                score=aggregation.lift_session(units),
                                 gold_presence=bool(m.ground_truth.e_flag(task)),
                             )
                         )
@@ -624,18 +575,27 @@ def evaluate_predictions(
                     except metrics.NoPositivesError:
                         cells[task.value] = None
                         notes[task.value] = "no Presence sessions in gold"
-            rows.append(ReportRow(mode=mode, chunk_len_s=chunk_len, cells=cells,
-                                  per_class=per_class, n_sessions=n_sessions, notes=notes))
+            rows.append({"mode": mode.value, "chunk_len_s": chunk_len, "metrics": cells,
+                         "per_class": per_class, "n_sessions": n_sessions, "notes": notes})
 
-    return EvaluationReport(
-        backend_id=backend_id,
-        taxonomy_name=taxonomy.name,
-        taxonomy_labels=list(taxonomy.labels),
-        config=_config_echo(cfg),
-        rows=rows,
-        invalid_sessions=sorted(invalid & set(by_id)),
-        failures=list(failures),
-    )
+    return {
+        "schema_version": 1,
+        "backend_id": backend_id,
+        "taxonomy": taxonomy.name,
+        "taxonomy_labels": list(taxonomy.labels),
+        "config": _config_echo(cfg),
+        "rows": rows,
+        "invalid_sessions": sorted(invalid & {m.session_id for m in manifests}),
+        "failures": list(failures),
+    }
+
+
+def report_row(report: dict, mode: RefinementMode, chunk_len_s: int | None = None) -> dict:
+    """The row of a report.json document for one (mode, chunk length) configuration."""
+    for row in report["rows"]:
+        if row["mode"] == mode.value and row["chunk_len_s"] == chunk_len_s:
+            return row
+    raise KeyError(f"no report row for mode={mode.value} chunk_len={chunk_len_s}")
 
 
 def _has_gold(manifest: SessionManifest, task: TaskKind) -> bool:
@@ -648,19 +608,19 @@ def _has_gold(manifest: SessionManifest, task: TaskKind) -> bool:
 
 
 def write_report_files(
-    report: EvaluationReport,
+    report: dict,
     predictions: Sequence[aggregation.SegmentPrediction],
     report_dir: Path,
 ) -> None:
+    """Write report.json, report.md and predictions.jsonl."""
     from .reporting import render_markdown
 
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    doc = report.to_json_dict()
     (report_dir / "report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    (report_dir / "report.md").write_text(render_markdown(doc), encoding="utf-8")
+    (report_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
     ordered = sorted(
         predictions,
         key=lambda p: (p.mode.value, str(p.chunk_len_s), p.task.value, p.session_id, p.unit_index),

@@ -116,10 +116,7 @@ def _binary_template(mode: RefinementMode) -> str:
 
 
 def _build_default_templates() -> dict[str, str]:
-    templates = {
-        "description": DESCRIPTION_PROMPT,
-        "transcription": TRANSCRIPTION_PROMPT,
-    }
+    templates: dict[str, str] = {}
     for mode in RefinementMode:
         templates[f"activity_recognition.{mode.value}"] = _activity_template(_AR_GOAL, mode)
         templates[f"activity_segmentation.{mode.value}"] = _activity_template(_AS_GOAL, mode)
@@ -136,7 +133,8 @@ def template_key(task: TaskKind, mode: RefinementMode) -> str:
 
 
 def load_templates(template_dir: str | Path) -> dict[str, str]:
-    """Override defaults with ``<key>.txt`` files from a directory."""
+    """Override task-prompt defaults with ``<key>.txt`` files from a directory.
+    Other names fail, the fixed ``description`` and ``transcription`` too."""
     templates = dict(DEFAULT_TEMPLATES)
     template_dir = Path(template_dir)
     if not template_dir.is_dir():

@@ -19,6 +19,7 @@ from sessionpipe.backends import FixtureStore, HttpBackendConfig, HttpChatBacken
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
+from sessionpipe.orchestrator import report_row
 from sessionpipe.parsing import MatchTier, ParsedLabel
 from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
@@ -89,7 +90,7 @@ def test_metric_oracle_equivalence():
         preds, golds, classes = random_multiclass_instance(rng)
         taxonomy = ActivityTaxonomy(name="r", labels=tuple(classes))
         seg_preds = [(seg(i, i * 16.0, (i + 1) * 16.0), p) for i, p in enumerate(preds)]
-        macro, _ = macro_f1_multiclass(seg_preds, contiguous_timeline(golds), taxonomy)
+        macro, _ = macro_f1_multiclass(seg_preds, {"s": contiguous_timeline(golds)}, taxonomy)
         oracle, _ = brute_multiclass_macro_f1(list(zip(preds, golds)), classes)
         assert abs(macro - oracle) <= 1e-9
     for _ in range(1000):
@@ -162,12 +163,12 @@ def test_end_to_end_oracle_recovery(tmp_path):
         tasks=tuple(TaskKind),
         chunk_lens=(16,),
     )
-    row = report.row(RefinementMode.MULTIMODAL, 16)
-    assert row.cells["activity_recognition"] == 1.0
-    assert row.cells["activity_segmentation"] == 1.0
-    assert row.cells["e1_overactivity"] == 1.0
-    assert row.cells["e2_tantrums"] == 1.0
-    assert row.cells["e3_anxiety"] == 1.0
+    row = report_row(report, RefinementMode.MULTIMODAL, 16)
+    assert row["metrics"]["activity_recognition"] == 1.0
+    assert row["metrics"]["activity_segmentation"] == 1.0
+    assert row["metrics"]["e1_overactivity"] == 1.0
+    assert row["metrics"]["e2_tantrums"] == 1.0
+    assert row["metrics"]["e3_anxiety"] == 1.0
     assert time.perf_counter() - started < 60.0
 
 
@@ -189,7 +190,7 @@ def test_noise_monotonicity(tmp_path):
                 sim_dir=f"sim-{flip_p}-{seed_index}",
                 report_dir=f"report-{flip_p}-{seed_index}",
             )
-            values.append(report.row(RefinementMode.MULTIMODAL, 16).cells["activity_recognition"])
+            values.append(report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_recognition"])
         return sum(values) / len(values)
 
     means = [mean_ar(p) for p in (0.0, 0.25, 0.5)]
@@ -213,9 +214,9 @@ def test_modality_robustness_directions(tmp_path):
             report_dir=f"report-{tag}",
         )
         return {
-            "video": report.row(RefinementMode.VIDEO_ONLY).cells["activity_recognition"],
-            "transcript": report.row(RefinementMode.TRANSCRIPT_ONLY, 16).cells["activity_recognition"],
-            "multimodal": report.row(RefinementMode.MULTIMODAL, 16).cells["activity_recognition"],
+            "video": report_row(report, RefinementMode.VIDEO_ONLY)["metrics"]["activity_recognition"],
+            "transcript": report_row(report, RefinementMode.TRANSCRIPT_ONLY, 16)["metrics"]["activity_recognition"],
+            "multimodal": report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_recognition"],
         }
 
     blind_video = ar_by_mode(NoiseSpec(caption_flip_p=1.0), "blind-video")

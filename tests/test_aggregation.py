@@ -148,15 +148,21 @@ class TestLiftSession:
         from sessionpipe.aggregation import lift_session
 
         lifted = lift_session([label_pred(i, "toy play") for i in range(6)])
-        assert lifted.activity_set == {"toy play"}
-        assert lifted.score is None
+        assert lifted == frozenset({"toy play"})
 
     def test_binary_lift_carries_score(self):
         from sessionpipe.aggregation import lift_session
 
         lifted = lift_session([binary_pred(i, i == 0) for i in range(4)])
-        assert lifted.score == pytest.approx(0.25)
-        assert lifted.activity_set is None
+        assert lifted == pytest.approx(0.25)
+
+    def test_empty_and_mixed_input_rejected(self):
+        from sessionpipe.aggregation import lift_session
+
+        with pytest.raises(EmptySessionError):
+            lift_session([])
+        with pytest.raises(MixedSessionsError):
+            lift_session([binary_pred(0, True), binary_pred(1, True, session_id="s2")])
 
     def test_segmentation_has_no_session_lift(self):
         from sessionpipe.aggregation import lift_session

@@ -16,6 +16,7 @@ from sessionpipe.backends import (
     HttpChatBackend,
     MalformedResponseError,
     MockBackend,
+    RequestRejectedError,
     Role,
     UnparseableTimestampsError,
     parse_utterances_json,
@@ -239,14 +240,48 @@ class TestHttpBackend:
             assert response.attempt == 1
 
     def test_stub_server_404_on_miss(self, caption_store):
+        lookups = []
+        lookup = caption_store.lookup
+        caption_store.lookup = lambda *key: lookups.append(key) or lookup(*key)
         with FixtureChatServer(caption_store) as server:
-            config = HttpBackendConfig(base_url=server.base_url, max_retries=0)
+            config = HttpBackendConfig(base_url=server.base_url, max_retries=2, backoff_s=0.01)
             backend = HttpChatBackend(config)
             request = BackendRequest(
                 role=Role.CAPTIONER, session_id="unknown", prompt="describe", segment_index=0, media_ref="v"
             )
-            with pytest.raises(BackendExhaustedError):
+            with pytest.raises(RequestRejectedError, match="HTTP 404"):
                 backend.complete(request)
+        assert len(lookups) == 1  # a permanent error is not retried
+
+    @pytest.mark.parametrize("status,posts", [(400, 1), (401, 1), (408, 3), (429, 3), (500, 3), (503, 3)])
+    def test_only_transient_statuses_retried(self, status, posts):
+        calls = []
+
+        class Status(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                calls.append(1)
+                self.rfile.read(int(self.headers.get("Content-Length", "0")))
+                self.send_response(status)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Status)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            config = HttpBackendConfig(
+                base_url=f"http://127.0.0.1:{server.server_address[1]}", max_retries=2, backoff_s=0.01
+            )
+            request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
+            expected = RequestRejectedError if posts == 1 else BackendExhaustedError
+            with pytest.raises(expected, match=f"HTTP {status}"):
+                HttpChatBackend(config).complete(request)
+            assert len(calls) == posts
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_one_session_per_thread(self, caption_store):
         with FixtureChatServer(caption_store) as server:

@@ -38,6 +38,14 @@ def _run_args(sim_tree, tmp_path, **extra):
     return args
 
 
+def _holey_run_args(sim_tree, tmp_path):
+    # fixtures without sim-001's reasoner answers, so a run marks sim-001 invalid
+    store = FixtureStore.load_jsonl(sim_tree / "fixtures.jsonl")
+    kept = [r for r in store.records() if not (r["session_id"] == "sim-001" and r["role"] == "reasoner")]
+    FixtureStore(kept).dump_jsonl(tmp_path / "holey.jsonl")
+    return _run_args(sim_tree, tmp_path, **{"--fixtures": str(tmp_path / "holey.jsonl")})
+
+
 def test_simulate_writes_tree(sim_tree):
     assert (sim_tree / "corpus" / "index.json").exists()
     assert (sim_tree / "corpus" / "taxonomy.json").exists()
@@ -54,11 +62,7 @@ def test_run_writes_report(runner, sim_tree, tmp_path):
 
 
 def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):
-    store = FixtureStore.load_jsonl(sim_tree / "fixtures.jsonl")
-    kept = [r for r in store.records() if not (r["session_id"] == "sim-001" and r["role"] == "reasoner")]
-    holey = tmp_path / "holey.jsonl"
-    FixtureStore(kept).dump_jsonl(holey)
-    args = _run_args(sim_tree, tmp_path, **{"--fixtures": str(holey)})
+    args = _holey_run_args(sim_tree, tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert "sim-001" in result.output
@@ -83,6 +87,27 @@ def test_evaluate_rescores_predictions(runner, sim_tree, tmp_path):
     original = json.loads((tmp_path / "report" / "report.json").read_text())
     rescored = json.loads((tmp_path / "rescored" / "report.json").read_text())
     assert [r["metrics"] for r in rescored["rows"]] == [r["metrics"] for r in original["rows"]]
+
+
+def test_evaluate_excluded_session_reproduces_run_rows(runner, sim_tree, tmp_path):
+    assert runner.invoke(main, _holey_run_args(sim_tree, tmp_path) + ["--allow-partial"]).exit_code == 0
+    original = json.loads((tmp_path / "report" / "report.json").read_text())
+    assert original["invalid_sessions"] == ["sim-001"]
+
+    def rescored_rows(*extra):
+        out = tmp_path / f"rescored{len(extra)}"
+        result = runner.invoke(main, [
+            "evaluate",
+            "--corpus", str(sim_tree / "corpus"),
+            "--taxonomy", str(sim_tree / "corpus" / "taxonomy.json"),
+            "--predictions", str(tmp_path / "report" / "predictions.jsonl"),
+            "--report-dir", str(out), *extra,
+        ])
+        assert result.exit_code == 0, result.output
+        return json.loads((out / "report.json").read_text())["rows"]
+
+    assert rescored_rows("--exclude-session", "sim-001") == original["rows"]
+    assert rescored_rows() != original["rows"]  # sim-001 would be scored with no predictions
 
 
 def test_report_rerenders_markdown(runner, sim_tree, tmp_path):

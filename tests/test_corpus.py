@@ -62,11 +62,6 @@ class TestTaxonomy:
         assert len(taxonomy.labels) == 13
         assert "shared book reading" in taxonomy.labels
 
-    def test_canonical_resolves_aliases(self, taxonomy):
-        assert taxonomy.canonical("Book Reading") == "shared book reading"
-        assert taxonomy.canonical("Toy Play") == "toy play"
-        assert taxonomy.canonical("nonsense") is None
-
     def test_save_load_roundtrip(self, tmp_path, taxonomy):
         path = tmp_path / "t.json"
         save_taxonomy(taxonomy, path)

@@ -61,13 +61,6 @@ class TestMultilabel:
         with pytest.raises(KeyMismatchError):
             macro_f1_multilabel({"s1": set()}, {"s2": set()}, AB)
 
-    def test_class_subset_configurable(self):
-        gold = {"s1": {"A"}}
-        pred = {"s1": {"A"}}
-        macro, per_class = macro_f1_multilabel(pred, gold, AB, classes=("A",))
-        assert macro == 1.0
-        assert list(per_class) == ["A"]
-
 
 class TestMulticlass:
     def test_worked_example(self):
@@ -80,7 +73,7 @@ class TestMulticlass:
         assert oracle_classes["B"] == pytest.approx(0.8)
         timeline = contiguous_timeline(golds)
         seg_preds = [(seg(i, i * 16.0, (i + 1) * 16.0), pred) for i, pred in enumerate(preds)]
-        macro, per_class = macro_f1_multiclass(seg_preds, timeline, AB)
+        macro, per_class = macro_f1_multiclass(seg_preds, {"s": timeline}, AB)
         assert macro == pytest.approx(oracle_macro) == pytest.approx((2 / 3 + 0.8) / 2)
         assert per_class["A"] == pytest.approx(2 / 3)
         assert per_class["B"] == pytest.approx(0.8)
@@ -89,20 +82,20 @@ class TestMulticlass:
         golds = ["A", "B", "A", "B"]
         timeline = contiguous_timeline(golds)
         seg_preds = [(seg(i, i * 16.0, (i + 1) * 16.0), g) for i, g in enumerate(golds)]
-        macro, _ = macro_f1_multiclass(seg_preds, timeline, AB)
+        macro, _ = macro_f1_multiclass(seg_preds, {"s": timeline}, AB)
         assert macro == 1.0
 
     def test_all_unknown_is_zero(self):
         golds = ["A", "B"]
         timeline = contiguous_timeline(golds)
         seg_preds = [(seg(i, i * 16.0, (i + 1) * 16.0), None) for i in range(2)]
-        macro, _ = macro_f1_multiclass(seg_preds, timeline, AB)
+        macro, _ = macro_f1_multiclass(seg_preds, {"s": timeline}, AB)
         assert macro == 0.0
 
     def test_uncovered_segment_excluded(self):
         timeline = (TimelineEntry(0.0, 16.0, "A"),)
         seg_preds = [(seg(0, 0.0, 16.0), "A"), (seg(1, 50.0, 66.0), "B")]
-        macro, per_class = macro_f1_multiclass(seg_preds, timeline, AB)
+        macro, per_class = macro_f1_multiclass(seg_preds, {"s": timeline}, AB)
         assert per_class == {"A": 1.0, "B": 0.0}
 
     def test_unknown_adds_fn_but_no_fp(self):
@@ -113,7 +106,7 @@ class TestMulticlass:
             (seg(1, 16.0, 32.0), None),
             (seg(2, 32.0, 48.0), "B"),
         ]
-        _, per_class = macro_f1_multiclass(seg_preds, timeline, AB)
+        _, per_class = macro_f1_multiclass(seg_preds, {"s": timeline}, AB)
         # A: tp=1 fn=1 fp=0 -> 2/3 ; B: tp=1 -> 1.0 (Unknown did not pollute B)
         assert per_class["A"] == pytest.approx(2 / 3)
         assert per_class["B"] == 1.0
@@ -121,7 +114,7 @@ class TestMulticlass:
     def test_timeline_label_outside_taxonomy(self):
         timeline = (TimelineEntry(0.0, 16.0, "zzz"),)
         with pytest.raises(KeyMismatchError):
-            macro_f1_multiclass([(seg(0, 0.0, 16.0), "A")], timeline, AB)
+            macro_f1_multiclass([(seg(0, 0.0, 16.0), "A")], {"s": timeline}, AB)
 
     def test_per_session_timelines(self):
         timelines = {
@@ -237,7 +230,7 @@ def test_multiclass_matches_oracle_on_random_instances():
         taxonomy = ActivityTaxonomy(name="r", labels=tuple(classes))
         timeline = contiguous_timeline(golds)
         seg_preds = [(seg(i, i * 16.0, (i + 1) * 16.0), p) for i, p in enumerate(preds)]
-        macro, _ = macro_f1_multiclass(seg_preds, timeline, taxonomy)
+        macro, _ = macro_f1_multiclass(seg_preds, {"s": timeline}, taxonomy)
         oracle_macro, _ = brute_multiclass_macro_f1(list(zip(preds, golds)), classes)
         assert macro == pytest.approx(oracle_macro, abs=1e-9)
 

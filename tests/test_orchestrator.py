@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sessionpipe import orchestrator
 from sessionpipe.backends import Backend, FixtureStore, MockBackend
 from sessionpipe.corpus import TaskKind
-from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, run
+from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, report_row, run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
@@ -42,14 +42,14 @@ def make_config(sim, tmp_path, **overrides):
 class TestRun:
     def test_zero_noise_multimodal_recovers_truth(self, sim_out, tmp_path):
         report = run(make_config(sim_out, tmp_path))
-        row = report.row(RefinementMode.MULTIMODAL, 16)
-        assert row.cells["activity_segmentation"] == 1.0
-        assert row.cells["activity_recognition"] == 1.0
+        row = report_row(report, RefinementMode.MULTIMODAL, 16)
+        assert row["metrics"]["activity_segmentation"] == 1.0
+        assert row["metrics"]["activity_recognition"] == 1.0
 
     def test_report_files_written(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
-        run(cfg)
-        assert (cfg.report_dir / "report.json").exists()
+        report = run(cfg)
+        assert json.loads((cfg.report_dir / "report.json").read_text()) == report
         assert (cfg.report_dir / "report.md").exists()
         assert (cfg.report_dir / "predictions.jsonl").exists()
         for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl"):
@@ -79,16 +79,30 @@ class TestRun:
             sim_out, tmp_path, modes=(RefinementMode.TRANSCRIPT_ONLY,), chunk_lens=(16, 64)
         )
         report = run(cfg)
-        assert [(r.mode.value, r.chunk_len_s) for r in report.rows] == [
+        assert [(r["mode"], r["chunk_len_s"]) for r in report["rows"]] == [
             ("transcript_only", 16),
             ("transcript_only", 64),
         ]
 
+    def test_multimodal_answers_sessions_shorter_than_half_a_chunk(self, tmp_path):
+        # a 20 s session has one 16 s segment and an empty 64 s tiling; its
+        # multimodal units still run, each with an empty transcript
+        modes = (RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL)
+        out = generate_corpus(SimConfig(seed=41, n_sessions=2, duration_s=20.0), tmp_path / "sim",
+                              modes=modes, chunk_lens=(64,))
+        cfg = make_config(out, tmp_path, modes=modes, chunk_lens=(64,))
+        report = run(cfg)
+        modes_seen = [p.mode for p in load_predictions(cfg.report_dir / "predictions.jsonl")]
+        assert modes_seen.count(RefinementMode.MULTIMODAL) == modes_seen.count(RefinementMode.VIDEO_ONLY) == 10
+        assert report["failures"] == []
+        assert (report_row(report, RefinementMode.MULTIMODAL, 64)["metrics"]
+                == report_row(report, RefinementMode.VIDEO_ONLY)["metrics"])
+
     def test_zero_shot_runs_without_reasoner(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path, modes=(RefinementMode.ZERO_SHOT,))
         report = run(cfg)
-        row = report.row(RefinementMode.ZERO_SHOT, None)
-        assert row.cells["activity_segmentation"] == 1.0
+        row = report_row(report, RefinementMode.ZERO_SHOT, None)
+        assert row["metrics"]["activity_segmentation"] == 1.0
         reasoner_cache = cfg.cache_dir / "reasoner.jsonl"
         assert reasoner_cache.read_text(encoding="utf-8") == ""
 
@@ -150,7 +164,7 @@ class TestExecution:
 
         monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", no_pool)
         report = run(make_config(sim_out, tmp_path))
-        assert report.row(RefinementMode.MULTIMODAL, 16).cells["activity_segmentation"] == 1.0
+        assert report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_segmentation"] == 1.0
 
     def test_io_backend_runs_on_pool_bounded_by_concurrency(self, sim_out, tmp_path, monkeypatch):
         class Remote(Backend):
@@ -230,19 +244,19 @@ class TestFailureHandling:
         cfg = make_config(sim_out, tmp_path)
         backend = self._holey_backend(sim_out, "sim-002")
         report = run(cfg, backend=backend)
-        assert report.invalid_sessions == ["sim-002"]
-        assert report.failures
+        assert report["invalid_sessions"] == ["sim-002"]
+        assert report["failures"]
         # remaining sessions still score perfectly
-        row = report.row(RefinementMode.MULTIMODAL, 16)
-        assert row.cells["activity_segmentation"] == 1.0
-        assert row.n_sessions["activity_segmentation"] == 5
+        row = report_row(report, RefinementMode.MULTIMODAL, 16)
+        assert row["metrics"]["activity_segmentation"] == 1.0
+        assert row["n_sessions"]["activity_segmentation"] == 5
 
     def test_invalid_session_excluded_from_pr_auc_ranking(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
         backend = self._holey_backend(sim_out, "sim-002")
         report = run(cfg, backend=backend)
-        row = report.row(RefinementMode.MULTIMODAL, 16)
-        assert row.n_sessions["e1_overactivity"] <= 5
+        row = report_row(report, RefinementMode.MULTIMODAL, 16)
+        assert row["n_sessions"]["e1_overactivity"] <= 5
 
 
 class TestNaturalisticCorpus:
@@ -272,11 +286,11 @@ class TestNaturalisticCorpus:
         write_corpus(naturalistic, corpus_dir)
         cfg = make_config(sim_out, tmp_path, corpus_dir=corpus_dir)
         report = run(cfg)
-        row = report.row(RefinementMode.MULTIMODAL, 16)
-        assert row.cells["activity_recognition"] == 1.0
-        assert row.cells["activity_segmentation"] is None
-        assert row.cells["e1_overactivity"] is None
-        assert row.notes["activity_segmentation"] == "no sessions with gold labels"
+        row = report_row(report, RefinementMode.MULTIMODAL, 16)
+        assert row["metrics"]["activity_recognition"] == 1.0
+        assert row["metrics"]["activity_segmentation"] is None
+        assert row["metrics"]["e1_overactivity"] is None
+        assert row["notes"]["activity_segmentation"] == "no sessions with gold labels"
 
 
 class TestEvaluateFromPredictions:
@@ -293,9 +307,9 @@ class TestEvaluateFromPredictions:
             taxonomy=taxonomy,
             predictions=preds,
             cfg=cfg,
-            backend_id=report.backend_id,
+            backend_id=report["backend_id"],
         )
-        assert [r.cells for r in again.rows] == [r.cells for r in report.rows]
+        assert [r["metrics"] for r in again["rows"]] == [r["metrics"] for r in report["rows"]]
 
 
 class TestRunConfigValidation:
@@ -353,7 +367,7 @@ def test_run_requests_exactly_the_simulated_fixtures(seed, n_sessions, duration_
             modes=tuple(modes), tasks=tuple(tasks), chunk_lens=tuple(chunk_lens),
         )
         report = run(cfg)
-        assert report.failures == []
+        assert report["failures"] == []
         requested = set()
         for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl"):
             requested |= _fixture_keys(cfg.cache_dir / name)

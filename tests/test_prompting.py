@@ -44,10 +44,6 @@ class TestDescriptionPrompt:
             "the main subjects, their actions, and the background scenes."
         )
 
-    def test_idempotent(self):
-        # the template table carries the same fixed prompt
-        assert DEFAULT_TEMPLATES["description"] == DESCRIPTION_PROMPT
-
     def test_pinned_hash(self):
         digest = hashlib.sha256(DESCRIPTION_PROMPT.encode()).hexdigest()
         assert digest == "85d40b1dadcb317de8a0a273e7fdddbdb073d1de3500093ba17de1b0aa71cc31"
@@ -149,15 +145,15 @@ class TestTemplateOverrides:
         assert prompt.startswith("Pick from:\n- shared book reading")
         assert "Saw: CAP" in prompt
 
-    def test_unknown_template_name_rejected(self, tmp_path):
-        (tmp_path / "mystery.txt").write_text("x")
+    @pytest.mark.parametrize("name", ["mystery", "description", "transcription"])
+    def test_unknown_template_name_rejected(self, tmp_path, name):
+        # the description and transcription prompts are fixed, not templates
+        (tmp_path / f"{name}.txt").write_text("x")
         with pytest.raises(PromptingError):
             load_templates(tmp_path)
 
     def test_all_default_template_keys_present(self):
         assert set(DEFAULT_TEMPLATES) == {
-            "description",
-            "transcription",
-            *(f"{kind}.{mode.value}" for kind in ("activity_recognition", "activity_segmentation", "binary")
-              for mode in RefinementMode),
+            f"{kind}.{mode.value}" for kind in ("activity_recognition", "activity_segmentation", "binary")
+            for mode in RefinementMode
         }

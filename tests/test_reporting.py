@@ -22,15 +22,15 @@ def report(tmp_path_factory):
 
 
 def test_one_table_row_per_configuration(report):
-    markdown = render_markdown(report.to_json_dict())
+    markdown = render_markdown(report)
     assert "| Zero-shot |" in markdown
     assert "| Multimodal (16s) |" in markdown
 
 
 def test_per_class_rows_follow_taxonomy_order(report):
-    markdown = render_markdown(report.to_json_dict())
+    markdown = render_markdown(report)
     lines = [l for l in markdown.splitlines() if l.startswith("| ")]
-    ordered = [label for label in report.taxonomy_labels]
+    ordered = report["taxonomy_labels"]
     per_class_rows = [l.split("|")[1].strip() for l in lines if l.split("|")[1].strip() in ordered]
     # every per-class block lists all labels, in taxonomy order
     n_blocks = len(per_class_rows) // len(ordered)
@@ -39,13 +39,11 @@ def test_per_class_rows_follow_taxonomy_order(report):
 
 
 def test_metric_cells_formatted(report):
-    markdown = render_markdown(report.to_json_dict())
+    markdown = render_markdown(report)
     row_line = next(l for l in markdown.splitlines() if l.startswith("| Multimodal"))
     assert "1.000" in row_line
 
 
 def test_json_dict_lists_every_row(report):
-    doc = report.to_json_dict()
-    assert {row["mode"] for row in doc["rows"]} == {"zero_shot", "multimodal"}
-    assert doc["taxonomy_labels"] == list(report.taxonomy_labels)
-    assert doc["schema_version"] == 1
+    assert {row["mode"] for row in report["rows"]} == {"zero_shot", "multimodal"}
+    assert report["schema_version"] == 1
