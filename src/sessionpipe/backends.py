@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import requests
 
@@ -110,6 +111,29 @@ class BackendResponse:
             raise ValueError("attempt count starts at 1")
 
 
+def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """The records of a JSONL file, one per non-blank line."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
+    """Write one sorted-key JSON record per line to a temp file, then rename it
+    over ``path``; a failed write removes the temp file and leaves ``path`` whole."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for record in records:
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 FixtureKey = tuple[str, str, int | None, str]
 
 
@@ -152,26 +176,14 @@ class FixtureStore:
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FixtureStore":
-        store = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    store.add(json.loads(line))
-        return store
-
-    def dump_jsonl(self, path: str | Path) -> None:
-        records = sorted(self._records.values(), key=lambda r: self._key(r))
-        with open(path, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        return cls(read_jsonl(path))
 
 
 class Backend(ABC):
     """A model endpoint serving one or more roles."""
 
     backend_id: str
-    in_process = False  # True: the executor calls complete inline, not on its thread pool
+    in_process = False  # True: a run calls complete inline, not on a thread pool
 
     @abstractmethod
     def complete(self, request: BackendRequest) -> BackendResponse:

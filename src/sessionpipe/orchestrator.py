@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -30,6 +29,8 @@ from .backends import (
     MockBackend,
     Role,
     parse_utterances_json,
+    read_jsonl,
+    write_jsonl,
 )
 from .corpus import (
     ACTIVITY_TASKS,
@@ -80,7 +81,6 @@ class RunConfig:
     endpoint: str | None = None
     model: str = "local-model"
     api_key: str | None = None
-    backend_id: str | None = None
     concurrency: int = 4
     seed: int = 0
     window_s: float = 16.0
@@ -115,16 +115,10 @@ class ResponseCache:
         self._dir = cache_dir
         self._records: dict[str, dict] = {}
         self._dirty = False
-        if cache_dir is not None and cache_dir.is_dir():
+        if cache_dir is not None:
             for fname in _ROLE_CACHE_FILES.values():
-                path = cache_dir / fname
-                if path.exists():
-                    with open(path, encoding="utf-8") as fh:
-                        for line in fh:
-                            line = line.strip()
-                            if line:
-                                record = json.loads(line)
-                                self._records[record["key"]] = record
+                if (cache_dir / fname).exists():
+                    self._records.update((r["key"], r) for r in read_jsonl(cache_dir / fname))
 
     def get(self, key: str) -> dict | None:
         return self._records.get(key)
@@ -145,86 +139,59 @@ class ResponseCache:
         for record in self._records.values():
             by_role[record["role"]].append(record)
         for role, path in paths.items():
-            records = sorted(by_role[role.value], key=lambda r: r["key"])
-            tmp = path.with_name(path.name + ".tmp")
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    for record in records:
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            write_jsonl(path, sorted(by_role[role.value], key=lambda r: r["key"]))
         self._dirty = False
 
 
-@dataclass(frozen=True)
-class _WorkItem:
-    key: str
-    request: BackendRequest
+def _fetch(
+    backend: Backend, cache: ResponseCache, concurrency: int, requests: Sequence[BackendRequest]
+) -> list[tuple[str, str | BackendError]]:
+    """(cache key, answer text or error) for each request, in request order.
 
-
-class _Executor:
-    """Cache-first backend executor; results keyed by cache key."""
-
-    def __init__(self, backend: Backend, cache: ResponseCache, concurrency: int):
-        self._backend = backend
-        self._cache = cache
-        self._concurrency = concurrency
-        self.results: dict[str, str] = {}
-        self.errors: dict[str, BackendError] = {}
-
-    def run(self, items: Sequence[_WorkItem]) -> None:
-        todo: dict[str, _WorkItem] = {}
-        for item in items:
-            if item.key in self.results or item.key in self.errors:
-                continue
-            cached = self._cache.get(item.key)
-            if cached is not None:
-                self.results[item.key] = cached["text"]
+    Each distinct key is looked up in the cache once; each missing one is sent
+    to the backend once, in key order, and its answer put into the cache.
+    In-process backends run inline; others on a pool of ``concurrency`` threads,
+    which is the only limit on requests in flight.
+    """
+    keys = [cache_key(backend.backend_id, r.role, r.session_id, r.segment_index, r.prompt_hash)
+            for r in requests]
+    answers: dict[str, str | BackendError] = {}
+    missing: dict[str, BackendRequest] = {}
+    for key, request in zip(keys, requests):
+        if key not in answers and key not in missing:
+            cached = cache.get(key)
+            if cached is None:
+                missing[key] = request
             else:
-                todo.setdefault(item.key, item)
+                answers[key] = cached["text"]
 
-        def call(item: _WorkItem) -> tuple[str, str | BackendError]:
-            try:
-                response = self._backend.complete(item.request)
-                return item.key, response.text.strip()
-            except BackendError as exc:
-                return item.key, exc
+    def call(key: str) -> str | BackendError:
+        try:
+            return backend.complete(missing[key]).text.strip()
+        except BackendError as exc:
+            return exc
 
-        ordered = sorted(todo.values(), key=lambda it: it.key)
-        if not ordered:
-            return
-        # in-process backends run inline; the pool is the only concurrency limit
-        inline = self._backend.in_process
-        with nullcontext() if inline else ThreadPoolExecutor(max_workers=self._concurrency) as pool:
-            for key, outcome in (map if inline else pool.map)(call, ordered):
-                item = todo[key]
-                if isinstance(outcome, BackendError):
-                    self.errors[key] = outcome
-                    continue
-                self.results[key] = outcome
-                self._cache.put(
-                    {
-                        "key": key,
-                        "role": item.request.role.value,
-                        "session_id": item.request.session_id,
-                        "segment_index": item.request.segment_index,
-                        "prompt_hash": item.request.prompt_hash,
-                        "backend_id": self._backend.backend_id,
-                        "text": outcome,
-                    }
-                )
+    if missing:
+        ordered = sorted(missing)
+        inline = backend.in_process
+        with nullcontext() if inline else ThreadPoolExecutor(max_workers=concurrency) as pool:
+            for key, answer in zip(ordered, (map if inline else pool.map)(call, ordered)):
+                answers[key] = answer
+                if not isinstance(answer, BackendError):
+                    request = missing[key]
+                    cache.put({"key": key, "role": request.role.value, "session_id": request.session_id,
+                               "segment_index": request.segment_index, "prompt_hash": request.prompt_hash,
+                               "backend_id": backend.backend_id, "text": answer})
+    return [(key, answers[key]) for key in keys]
 
 
 def build_backend(cfg: RunConfig) -> Backend:
     if cfg.fixtures_path is not None and cfg.endpoint is not None:
         raise ValueError("configure either fixtures_path or endpoint, not both")
     if cfg.fixtures_path is not None:
-        return MockBackend(cfg.fixtures_path, backend_id=cfg.backend_id or "mock")
+        return MockBackend(cfg.fixtures_path)
     if cfg.endpoint is not None:
-        http_cfg = HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key)
-        return HttpChatBackend(http_cfg, backend_id=cfg.backend_id)
+        return HttpChatBackend(HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key))
     raise ValueError("RunConfig needs a fixtures_path or an endpoint")
 
 
@@ -356,15 +323,6 @@ def plan_units(
     return units
 
 
-@dataclass
-class _SessionPlan:
-    manifest: SessionManifest
-    segments: list[Segment]
-    chunks: dict[int, list[TranscriptChunk]] = field(default_factory=dict)
-    captions: dict[int, str] = field(default_factory=dict)
-    failed_segments: set[int] = field(default_factory=set)
-
-
 def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     """Execute the full pipeline for one configuration, write the report files
     and return the report.json document."""
@@ -374,98 +332,81 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     if backend is None:
         backend = build_backend(cfg)
     cache = ResponseCache(cfg.cache_dir)
-    executor = _Executor(backend, cache, cfg.concurrency)
     params = GenerationParams(seed=cfg.seed)
 
-    plans = [
-        _SessionPlan(
-            manifest=m,
-            segments=windowing.plan_segments(
-                m.media_duration_s, cfg.window_s, cfg.fps, session_id=m.session_id
-            ),
-        )
-        for m in manifests
-    ]
+    by_id = {m.session_id: m for m in manifests}
+    segments = {
+        sid: windowing.plan_segments(m.media_duration_s, cfg.window_s, cfg.fps, session_id=sid)
+        for sid, m in by_id.items()
+    }
+    captions: dict[str, dict[int, str]] = {sid: {} for sid in segments}
+    chunks: dict[str, dict[int, list[TranscriptChunk]]] = {sid: {} for sid in segments}
+    failed_segments: dict[str, set[int]] = {sid: set() for sid in segments}
     failures: list[dict] = []
 
-    def work_item(request: BackendRequest) -> _WorkItem:
-        key = cache_key(backend.backend_id, request.role, request.session_id,
-                        request.segment_index, request.prompt_hash)
-        return _WorkItem(key, request)
-
-    def record_failure(plan: _SessionPlan, item: _WorkItem, error: Exception,
-                       failed_segments: Iterable[int]) -> None:
+    def record_failure(request: BackendRequest, error: Exception, failed: Iterable[int]) -> None:
         failures.append(
             {
-                "session_id": plan.manifest.session_id,
-                "role": item.request.role.value,
-                "segment_index": item.request.segment_index,
-                "prompt_hash": item.request.prompt_hash,
+                "session_id": request.session_id,
+                "role": request.role.value,
+                "segment_index": request.segment_index,
+                "prompt_hash": request.prompt_hash,
                 "error": f"{type(error).__name__}: {error}",
             }
         )
-        plan.failed_segments.update(failed_segments)
+        failed_segments[request.session_id].update(failed)
 
-    # phase 1: modality content extraction
+    # phase 1: modality content extraction; each phase covers every session,
+    # so a live endpoint does not idle at session boundaries
     extraction = [
-        (plan, work_item(request))
-        for plan in plans
-        for request in plan_extraction(plan.manifest, plan.segments, cfg.modes, params)
+        request for m in manifests for request in plan_extraction(m, segments[m.session_id], cfg.modes, params)
     ]
-    executor.run([item for _, item in extraction])
-
-    for plan, item in extraction:
-        request = item.request
-        all_segments = range(len(plan.segments))
-        if item.key in executor.errors:
+    for request, (_, answer) in zip(extraction, _fetch(backend, cache, cfg.concurrency, extraction)):
+        sid = request.session_id
+        all_segments = range(len(segments[sid]))
+        if isinstance(answer, BackendError):
             failed = all_segments if request.segment_index is None else [request.segment_index]
-            record_failure(plan, item, executor.errors[item.key], failed)
-            continue
-        if request.role is Role.CAPTIONER:
-            plan.captions[request.segment_index] = executor.results[item.key]
-            continue
-        try:
-            utterances = parse_utterances_json(executor.results[item.key])
-        except BackendError as exc:
-            record_failure(plan, item, exc, all_segments)
-            continue
-        plan.chunks = transcript_chunks(plan.manifest, utterances, cfg.chunk_lens)
+            record_failure(request, answer, failed)
+        elif request.role is Role.CAPTIONER:
+            captions[sid][request.segment_index] = answer
+        else:
+            try:
+                chunks[sid] = transcript_chunks(by_id[sid], parse_utterances_json(answer), cfg.chunk_lens)
+            except BackendError as exc:
+                record_failure(request, exc, all_segments)
 
-    # phase 2: task prompts per mode
+    # phase 2: task prompts per mode, every session at once
     units = [
-        (plan, unit, work_item(unit.request))
-        for plan in plans
-        for unit in plan_units(plan.manifest, plan.segments, plan.captions, plan.chunks,
+        unit
+        for m in manifests
+        for unit in plan_units(m, segments[m.session_id], captions[m.session_id], chunks[m.session_id],
                                cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, params)
     ]
-    executor.run([item for _, _, item in units])
-
+    answers = _fetch(backend, cache, cfg.concurrency, [unit.request for unit in units])
     predictions: list[aggregation.SegmentPrediction] = []
-    for plan, unit, item in units:
-        window = unit.window
-        if item.key in executor.errors:
-            overlapping = (s.index for s in plan.segments if s.start_s < window.end_s and s.end_s > window.start_s)
-            record_failure(plan, item, executor.errors[item.key], overlapping)
+    for unit, (key, answer) in zip(units, answers):
+        window, sid = unit.window, unit.request.session_id
+        if isinstance(answer, BackendError):
+            overlapping = (s.index for s in segments[sid] if s.start_s < window.end_s and s.end_s > window.start_s)
+            record_failure(unit.request, answer, overlapping)
             continue
-        text = executor.results[item.key]
         predictions.append(
             aggregation.SegmentPrediction(
-                session_id=plan.manifest.session_id,
+                session_id=sid,
                 task=unit.task,
                 mode=unit.mode,
                 unit_index=window.index,
                 start_s=window.start_s,
                 end_s=window.end_s,
-                label=parse_label(text, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(text),
+                label=parse_label(answer, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(answer),
                 chunk_len_s=unit.chunk_len_s,
-                cache_key=item.key,
+                cache_key=key,
             )
         )
 
     invalid_sessions = sorted(
-        plan.manifest.session_id
-        for plan in plans
-        if plan.segments and len(plan.failed_segments) / len(plan.segments) > cfg.failure_threshold
+        sid for sid, segs in segments.items()
+        if segs and len(failed_segments[sid]) / len(segs) > cfg.failure_threshold
     )
 
     report = evaluate_predictions(
@@ -625,16 +566,8 @@ def write_report_files(
         predictions,
         key=lambda p: (p.mode.value, str(p.chunk_len_s), p.task.value, p.session_id, p.unit_index),
     )
-    with open(report_dir / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for pred in ordered:
-            fh.write(json.dumps(pred.to_record(), sort_keys=True) + "\n")
+    write_jsonl(report_dir / "predictions.jsonl", (pred.to_record() for pred in ordered))
 
 
 def load_predictions(path: str | Path) -> list[aggregation.SegmentPrediction]:
-    preds = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                preds.append(aggregation.SegmentPrediction.from_record(json.loads(line)))
-    return preds
+    return [aggregation.SegmentPrediction.from_record(record) for record in read_jsonl(path)]

@@ -37,10 +37,6 @@ class MissingTranscriptError(PromptingError):
     pass
 
 
-class EmptyTaxonomyError(PromptingError):
-    pass
-
-
 DESCRIPTION_PROMPT = (
     "Please provide a detailed description of the video, focusing on the "
     "main subjects, their actions, and the background scenes."
@@ -166,8 +162,6 @@ def build_task_prompt(
 ) -> str:
     """Render the refinement prompt for one (mode, task) on one window."""
     _check_evidence(mode, caption, transcript)
-    if task in ACTIVITY_TASKS and not taxonomy.labels:
-        raise EmptyTaxonomyError("activity tasks need a non-empty taxonomy")
     templates = templates if templates is not None else DEFAULT_TEMPLATES
     template = templates[template_key(task, mode)]
     return template.format(

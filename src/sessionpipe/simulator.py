@@ -12,14 +12,13 @@ shifts the noise applied elsewhere.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import aggregation, corpus, metrics, windowing
-from .backends import BackendRequest, GenerationParams, Role, utterances_to_json
+from .backends import BackendRequest, GenerationParams, Role, utterances_to_json, write_jsonl
 from .corpus import (
     ACTIVITY_TASKS,
     E_TASKS,
@@ -40,7 +39,9 @@ class InvalidConfigError(ValueError):
     pass
 
 
-DEFAULT_SIM_TAXONOMY = ActivityTaxonomy(
+# Taxonomy labels must not occur inside the generator's scaffold sentences or
+# cue phrases (e.g. a label "child" would leak into every caption).
+SIM_TAXONOMY = ActivityTaxonomy(
     name="synthetic-play-6",
     labels=(
         "puzzle solving",
@@ -53,11 +54,15 @@ DEFAULT_SIM_TAXONOMY = ActivityTaxonomy(
 )
 
 # Presence base rates follow the reported class skew of the diagnostic corpus.
-DEFAULT_E_BASE_RATES: Mapping[TaskKind, float] = {
+E_BASE_RATES: Mapping[TaskKind, float] = {
     TaskKind.E1_OVERACTIVITY: 34 / 82,
     TaskKind.E2_TANTRUMS: 7 / 83,
     TaskKind.E3_ANXIETY: 10 / 83,
 }
+
+ACTIVITY_DWELL_S = (40.0, 120.0)  # uniform range of one timeline entry's length
+CUE_SEGMENT_RATE = 0.35  # chance that a Presence session shows its cue in a segment
+WINDOW_S = 16.0  # segment length, the run's default --window-s
 
 # Phrases that mark a behavior in caption/transcript text. They must not
 # contain any taxonomy label as a substring.
@@ -87,40 +92,18 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Corpus generation parameters.
-
-    Taxonomy labels must not occur inside the generator's scaffold sentences
-    or cue phrases (e.g. a label "child" would leak into every caption); the
-    default taxonomy satisfies this.
-    """
+    """Corpus generation parameters."""
 
     seed: int
     n_sessions: int = 20
     duration_s: float = 320.0
-    taxonomy: ActivityTaxonomy = DEFAULT_SIM_TAXONOMY
-    activity_dwell_s: tuple[float, float] = (40.0, 120.0)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    e_base_rates: Mapping[TaskKind, float] = field(
-        default_factory=lambda: dict(DEFAULT_E_BASE_RATES)
-    )
-    cue_segment_rate: float = 0.35
-    window_s: float = 16.0
-    min_activity_duration_s: float = aggregation.DEFAULT_MIN_ACTIVITY_DURATION_S
 
     def __post_init__(self):
         if self.n_sessions < 1:
             raise InvalidConfigError(f"n_sessions must be >= 1, got {self.n_sessions}")
         if self.duration_s <= 0:
             raise InvalidConfigError(f"duration_s must be > 0, got {self.duration_s}")
-        lo, hi = self.activity_dwell_s
-        if not 0 < lo <= hi:
-            raise InvalidConfigError(f"activity dwell range must satisfy 0 < min <= max, got {self.activity_dwell_s}")
-        if not 0.0 <= self.cue_segment_rate <= 1.0:
-            raise InvalidConfigError("cue_segment_rate must be in [0, 1]")
-        for task in E_TASKS:
-            rate = self.e_base_rates.get(task)
-            if rate is None or not 0.0 <= rate <= 1.0:
-                raise InvalidConfigError(f"base rate for {task.value} must be set and in [0, 1], got {rate}")
 
 
 @dataclass(frozen=True)
@@ -185,8 +168,8 @@ def _make_timeline(cfg: SimConfig, rng: random.Random) -> tuple[TimelineEntry, .
     t = 0.0
     prev: str | None = None
     while t < cfg.duration_s - 1e-9:
-        dwell = rng.uniform(*cfg.activity_dwell_s)
-        label = rng.choice([l for l in cfg.taxonomy.labels if l != prev])
+        dwell = rng.uniform(*ACTIVITY_DWELL_S)
+        label = rng.choice([l for l in SIM_TAXONOMY.labels if l != prev])
         end = min(t + dwell, cfg.duration_s)
         entries.append(TimelineEntry(start_s=t, end_s=end, label=label))
         prev = label
@@ -206,7 +189,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
     session_id = f"sim-{index:03d}"
     rng_world = _derived_rng(cfg.seed, session_id, "world")
     timeline = _make_timeline(cfg, rng_world)
-    segments = windowing.plan_segments(cfg.duration_s, cfg.window_s, session_id=session_id)
+    segments = windowing.plan_segments(cfg.duration_s, WINDOW_S, session_id=session_id)
     true_labels = []
     for seg in segments:
         label = metrics.resolve_segment_gold(seg, timeline)
@@ -214,7 +197,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
         true_labels.append(label)
 
     e_flags = {
-        task: _derived_rng(cfg.seed, session_id, "eflag", task.value).random() < cfg.e_base_rates[task]
+        task: _derived_rng(cfg.seed, session_id, "eflag", task.value).random() < E_BASE_RATES[task]
         for task in E_TASKS
     }
     cue_segments: dict[TaskKind, frozenset[int]] = {}
@@ -223,7 +206,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
             cue_segments[task] = frozenset()
             continue
         rng_cue = _derived_rng(cfg.seed, session_id, "cues", task.value)
-        picks = {i for i in range(len(segments)) if rng_cue.random() < cfg.cue_segment_rate}
+        picks = {i for i in range(len(segments)) if rng_cue.random() < CUE_SEGMENT_RATE}
         if not picks and segments:  # a session under half a window has no segments
             picks = {rng_cue.randrange(len(segments))}
         cue_segments[task] = frozenset(picks)
@@ -232,7 +215,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
     captions = []
     for seg, true_label in zip(segments, true_labels):
         rng_cap = _derived_rng(cfg.seed, session_id, "caption", seg.index)
-        shown = _flip_label(true_label, cfg.taxonomy.labels, cfg.noise.caption_flip_p, rng_cap)
+        shown = _flip_label(true_label, SIM_TAXONOMY.labels, cfg.noise.caption_flip_p, rng_cap)
         caption_labels.append(shown)
         text = (
             "The video shows a child and an adult in a recorded session. "
@@ -273,7 +256,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
             )
             for seg, label in zip(segments, true_labels)
         ],
-        min_duration_s=cfg.min_activity_duration_s,
+        min_duration_s=aggregation.DEFAULT_MIN_ACTIVITY_DURATION_S,
     )
 
     manifest = SessionManifest(
@@ -311,10 +294,10 @@ def _reasoner_answer(
 ) -> str:
     rng = _derived_rng(cfg.seed, world.manifest.session_id, "reason", unit_index, prompt_hash)
     if task in ACTIVITY_TASKS:
-        label = _dominant_label(evidence, cfg.taxonomy.labels)
+        label = _dominant_label(evidence, SIM_TAXONOMY.labels)
         if label is None:
             return NO_SIGNAL_ANSWER
-        label = _flip_label(label, cfg.taxonomy.labels, cfg.noise.reasoner_flip_p, rng)
+        label = _flip_label(label, SIM_TAXONOMY.labels, cfg.noise.reasoner_flip_p, rng)
         return _activity_answer(label)
     present = CUE_MARKERS[task].casefold() in evidence.casefold()
     if cfg.noise.reasoner_flip_p > 0 and rng.random() < cfg.noise.reasoner_flip_p:
@@ -347,7 +330,7 @@ def _session_fixtures(
     chunks = transcript_chunks(world.manifest, world.utterances, chunk_lens) if TRANSCRIPT_MODES & set(modes) else {}
     captions = dict(enumerate(world.captions))
     for unit in plan_units(world.manifest, world.segments, captions, chunks, modes, tasks,
-                           chunk_lens, cfg.taxonomy, None, params):
+                           chunk_lens, SIM_TAXONOMY, None, params):
         index = unit.window.index
         if unit.mode is RefinementMode.ZERO_SHOT:  # the captioner answers from the video
             if unit.task in ACTIVITY_TASKS:
@@ -388,11 +371,9 @@ def generate_corpus(
     worlds = [_build_session(cfg, i) for i in range(cfg.n_sessions)]
     corpus.write_corpus([w.manifest for w in worlds], corpus_dir)
     taxonomy_path = corpus_dir / "taxonomy.json"
-    corpus.save_taxonomy(cfg.taxonomy, taxonomy_path)
+    corpus.save_taxonomy(SIM_TAXONOMY, taxonomy_path)
 
     fixtures_path = out_dir / "fixtures.jsonl"
-    with open(fixtures_path, "w", encoding="utf-8") as fh:
-        for world in worlds:
-            for record in _session_fixtures(cfg, world, tasks, modes, chunk_lens):
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+    write_jsonl(fixtures_path, (record for world in worlds
+                                for record in _session_fixtures(cfg, world, tasks, modes, chunk_lens)))
     return SimOutput(corpus_dir=corpus_dir, fixtures_path=fixtures_path, taxonomy_path=taxonomy_path)

@@ -22,6 +22,7 @@ from sessionpipe.backends import (
     parse_utterances_json,
     prompt_sha256,
     utterances_to_json,
+    write_jsonl,
 )
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.windowing import TimedUtterance
@@ -79,7 +80,7 @@ class TestMockBackend:
 
     def test_fixtures_path_loaded_on_first_request(self, caption_store, tmp_path, monkeypatch):
         path = tmp_path / "fixtures.jsonl"
-        caption_store.dump_jsonl(path)
+        write_jsonl(path, caption_store.records())
         loads = []
         real_load = FixtureStore.load_jsonl.__func__
         monkeypatch.setattr(
@@ -168,7 +169,7 @@ class TestTranscribe:
 class TestFixtureStoreIO:
     def test_jsonl_roundtrip(self, tmp_path, caption_store):
         path = tmp_path / "fixtures.jsonl"
-        caption_store.dump_jsonl(path)
+        write_jsonl(path, caption_store.records())
         loaded = FixtureStore.load_jsonl(path)
         assert loaded.records() == caption_store.records()
 

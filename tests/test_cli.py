@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from sessionpipe.backends import FixtureStore
+from sessionpipe.backends import FixtureStore, write_jsonl
 from sessionpipe.cli import main
 
 
@@ -42,7 +42,7 @@ def _holey_run_args(sim_tree, tmp_path):
     # fixtures without sim-001's reasoner answers, so a run marks sim-001 invalid
     store = FixtureStore.load_jsonl(sim_tree / "fixtures.jsonl")
     kept = [r for r in store.records() if not (r["session_id"] == "sim-001" and r["role"] == "reasoner")]
-    FixtureStore(kept).dump_jsonl(tmp_path / "holey.jsonl")
+    write_jsonl(tmp_path / "holey.jsonl", kept)
     return _run_args(sim_tree, tmp_path, **{"--fixtures": str(tmp_path / "holey.jsonl")})
 
 

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
-from sessionpipe.backends import Backend, FixtureStore, MockBackend
+from sessionpipe.backends import Backend, FixtureStore, MockBackend, read_jsonl
 from sessionpipe.corpus import TaskKind
 from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, report_row, run
 from sessionpipe.prompting import RefinementMode
-from sessionpipe.simulator import SimConfig, generate_corpus
+from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
 
 ALL_MODES = tuple(RefinementMode)
@@ -119,12 +119,11 @@ class TestRun:
     def test_predictions_traceable_to_cache(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
-        cached_keys = set()
-        for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl"):
-            with open(cfg.cache_dir / name, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        cached_keys.add(json.loads(line)["key"])
+        cached_keys = {
+            record["key"]
+            for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl")
+            for record in read_jsonl(cfg.cache_dir / name)
+        }
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         assert preds
         assert all(p.cache_key in cached_keys for p in preds)
@@ -152,6 +151,20 @@ class TestExecution:
         run(cfg)
         assert calls == []
         assert state() == before  # same bytes, and no cache file rewritten
+
+    def test_key_planned_twice_is_sent_once(self, tmp_path):
+        # with every utterance dropped, the 16 s and 64 s chunks at one index
+        # are both empty, so their prompts and cache keys are the same
+        modes, lens = (RefinementMode.TRANSCRIPT_ONLY,), (16, 64)
+        sim = SimConfig(seed=0, n_sessions=1, duration_s=128.0, noise=NoiseSpec(transcript_drop_p=1.0))
+        out = generate_corpus(sim, tmp_path / "sim", modes=modes, chunk_lens=lens)
+        backend = MockBackend(out.fixtures_path)
+        cfg = make_config(out, tmp_path, modes=modes, chunk_lens=lens)
+        run(cfg, backend=backend)
+        preds = load_predictions(cfg.report_dir / "predictions.jsonl")
+        assert len(preds) == 5 * (8 + 2)
+        assert len({p.cache_key for p in preds}) == 5 * 8
+        assert backend.call_count == 5 * 8 + 1  # the unit keys, plus the transcript
 
     def test_missing_fixtures_fail_at_build_time(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path, fixtures_path=tmp_path / "absent.jsonl")
@@ -341,9 +354,7 @@ class TestRunConfigValidation:
 
 
 def _fixture_keys(path):
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
-    return {(r["role"], r["session_id"], r["segment_index"], r["prompt_hash"]) for r in records}
+    return {(r["role"], r["session_id"], r["segment_index"], r["prompt_hash"]) for r in read_jsonl(path)}
 
 
 @given(

@@ -10,7 +10,6 @@ from sessionpipe.prompting import (
     DESCRIPTION_PROMPT,
     TRANSCRIPT_MODES,
     TRANSCRIPTION_PROMPT,
-    EmptyTaxonomyError,
     MissingCaptionError,
     MissingTranscriptError,
     PromptingError,
@@ -103,16 +102,6 @@ class TestTaskPromptContract:
     def test_unexpected_evidence_rejected(self, taxonomy):
         with pytest.raises(PromptingError):
             build_task_prompt(RefinementMode.ZERO_SHOT, TaskKind.ACTIVITY_RECOGNITION, "cap", None, taxonomy)
-
-    def test_empty_taxonomy(self):
-        class FakeTaxonomy:
-            labels = ()
-            aliases = {}
-
-        with pytest.raises(EmptyTaxonomyError):
-            build_task_prompt(
-                RefinementMode.ZERO_SHOT, TaskKind.ACTIVITY_RECOGNITION, None, None, FakeTaxonomy()
-            )
 
     def test_injection_contained_to_blocks(self, taxonomy):
         sentinel_cap = "CAPTION_SENTINEL {labels} {rubric}"
