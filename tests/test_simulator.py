@@ -4,6 +4,7 @@ from sessionpipe.backends import prompt_sha256, read_jsonl
 from sessionpipe.corpus import E_TASKS, TaskKind, load_corpus, load_taxonomy
 from sessionpipe.prompting import DESCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import (
+    ACTIVITY_DWELL_S,
     E_BASE_RATES,
     InvalidConfigError,
     NoiseSpec,
@@ -17,6 +18,10 @@ class TestConfigValidation:
     def test_bad_probability(self):
         with pytest.raises(InvalidConfigError):
             NoiseSpec(caption_flip_p=1.5)
+
+    def test_bad_session_count(self):
+        with pytest.raises(InvalidConfigError):
+            SimConfig(seed=0, n_sessions=0)
 
     def test_bad_duration(self):
         with pytest.raises(InvalidConfigError):
@@ -86,6 +91,20 @@ class TestGeneratedCorpus:
             assert true_label in record["text"]
             checked += 1
         assert checked == 3 * 20
+
+    def test_timeline_dwells_within_range(self):
+        cfg = SimConfig(seed=7, n_sessions=10)
+        lo, hi = ACTIVITY_DWELL_S
+        for manifest in build_manifests(cfg):
+            timeline = manifest.ground_truth.activity_timeline
+            assert timeline[0].start_s == 0.0
+            assert timeline[-1].end_s == cfg.duration_s
+            for prev, entry in zip(timeline, timeline[1:]):
+                assert entry.start_s == prev.end_s
+                assert entry.label != prev.label
+            # every entry but the last, which the session end may cut short
+            for entry in timeline[:-1]:
+                assert lo <= entry.end_s - entry.start_s <= hi
 
     def test_e2_base_rate_matches_reported_skew(self):
         assert E_BASE_RATES[TaskKind.E2_TANTRUMS] == pytest.approx(7 / 83)
