@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .corpus import ACTIVITY_TASKS, TaskKind
+from .corpus import ACTIVITY_TASKS, E_TASKS, TaskKind
 from .parsing import MatchTier, ParsedBinary, ParsedLabel
 from .prompting import RefinementMode
 
@@ -44,7 +44,7 @@ class SegmentPrediction:
     def __post_init__(self):
         if self.task in ACTIVITY_TASKS and not isinstance(self.label, ParsedLabel):
             raise TypeError(f"activity task {self.task.value} needs a ParsedLabel")
-        if self.task.is_binary and not isinstance(self.label, ParsedBinary):
+        if self.task in E_TASKS and not isinstance(self.label, ParsedBinary):
             raise TypeError(f"binary task {self.task.value} needs a ParsedBinary")
 
     @property

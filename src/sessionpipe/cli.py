@@ -127,35 +127,21 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
 @click.option("--taxonomy", "taxonomy_path", type=click.Path(path_type=Path), required=True)
 @click.option("--predictions", "predictions_path", type=click.Path(path_type=Path), required=True)
 @click.option("--report-dir", type=click.Path(path_type=Path), required=True)
-@click.option("--exclude-session", "excluded", multiple=True,
-              help="Session ids to leave out of the metrics.")
-@click.option("--min-activity-duration-s", type=float, default=90.0, show_default=True)
-def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir, excluded,
-             min_activity_duration_s):
-    """Re-score previously cached predictions without touching any backend."""
+def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
+    """Re-score a run's predictions without touching any backend.
+
+    The run's report.json next to the predictions says how they are scored:
+    modes, tasks, chunk lengths, the activity duration threshold and the
+    invalid sessions. The outputs equal the run's.
+    """
+    run_report = predictions_path.parent / "report.json"
+    if not run_report.is_file():
+        raise click.BadParameter(f"no report.json next to {predictions_path}", param_hint="--predictions")
     taxonomy = load_taxonomy(taxonomy_path)
     manifests = load_corpus(corpus_dir, taxonomy)
     predictions = orchestrator.load_predictions(predictions_path)
-    modes = tuple(dict.fromkeys(p.mode for p in predictions))
-    tasks = tuple(dict.fromkeys(p.task for p in predictions))
-    chunk_lens = tuple(sorted({p.chunk_len_s for p in predictions if p.chunk_len_s is not None}))
-    cfg = orchestrator.RunConfig(
-        corpus_dir=corpus_dir,
-        taxonomy_path=taxonomy_path,
-        report_dir=report_dir,
-        modes=modes or tuple(RefinementMode),
-        tasks=tasks or tuple(TaskKind),
-        chunk_lens=chunk_lens or (16,),
-        min_activity_duration_s=min_activity_duration_s,
-    )
-    report = orchestrator.evaluate_predictions(
-        manifests=manifests,
-        taxonomy=taxonomy,
-        predictions=predictions,
-        cfg=cfg,
-        backend_id="re-evaluation",
-        invalid_sessions=tuple(excluded),
-    )
+    run_info = json.loads(run_report.read_text(encoding="utf-8"))
+    report = orchestrator.evaluate_predictions(manifests, taxonomy, predictions, run_info)
     orchestrator.write_report_files(report, predictions, report_dir)
     click.echo(f"report written to {report_dir}")
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -25,10 +24,6 @@ class TaskKind(Enum):
     E1_OVERACTIVITY = "e1_overactivity"
     E2_TANTRUMS = "e2_tantrums"
     E3_ANXIETY = "e3_anxiety"
-
-    @property
-    def is_binary(self) -> bool:
-        return self in E_TASKS
 
 
 ACTIVITY_TASKS = (TaskKind.ACTIVITY_RECOGNITION, TaskKind.ACTIVITY_SEGMENTATION)
@@ -72,7 +67,8 @@ class ActivityTaxonomy:
     """Ordered label set with optional aliases.
 
     Label order is load order and defines report column order. Labels must be
-    unique after case-folding; every alias must map to an existing label.
+    unique after ``parsing.normalize`` (case, punctuation and spacing folded);
+    every alias must map to an existing label.
     """
 
     name: str
@@ -82,14 +78,13 @@ class ActivityTaxonomy:
     def __post_init__(self):
         if not self.labels:
             raise DuplicateLabelError(f"taxonomy '{self.name}' has no labels")
-        seen: set[str] = set()
-        for label in self.labels:
-            folded = label.casefold()
-            if folded in seen:
+        seen: dict[str, str] = {}
+        for form, label in self.match_forms[0]:
+            if form in seen:
                 raise DuplicateLabelError(
-                    f"taxonomy '{self.name}': duplicate label '{label}' (case-folded)"
+                    f"taxonomy '{self.name}': labels '{seen[form]}' and '{label}' are equal when normalized"
                 )
-            seen.add(folded)
+            seen[form] = label
         for alias, target in self.aliases.items():
             if target not in self.labels:
                 raise DanglingAliasError(
@@ -224,21 +219,6 @@ def taxonomy_to_dict(taxonomy: ActivityTaxonomy) -> dict:
 
 def save_taxonomy(taxonomy: ActivityTaxonomy, path: str | Path) -> None:
     Path(path).write_text(json.dumps(taxonomy_to_dict(taxonomy), indent=2) + "\n", encoding="utf-8")
-
-
-def default_taxonomy(dataset: DatasetKind) -> ActivityTaxonomy:
-    """The shipped default taxonomy for a dataset kind.
-
-    Only the activity names that are public knowledge are spelled out; the
-    remaining slots are explicit placeholders meant to be replaced by a
-    project-specific taxonomy file.
-    """
-    fname = {
-        DatasetKind.NATURALISTIC: "taxonomy_naturalistic.json",
-        DatasetKind.DIAGNOSTIC: "taxonomy_diagnostic.json",
-    }[dataset]
-    doc = json.loads(resources.files("sessionpipe.data").joinpath(fname).read_text(encoding="utf-8"))
-    return taxonomy_from_dict(doc, where=fname)
 
 
 def _require(doc: dict, key: str, where: str) -> Any:

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from . import aggregation, metrics, windowing
 from .backends import (
@@ -63,8 +63,13 @@ _ROLE_CACHE_FILES = {
 }
 
 
-def cache_key(backend_id: str, role: Role, session_id: str, segment_index: int | None, prompt_hash: str) -> str:
-    parts = "\x1f".join([backend_id, role.value, session_id, str(segment_index), prompt_hash])
+def cache_key(backend_id: str, request: BackendRequest) -> str:
+    """The address of a request's answer: backend (which names the model), role,
+    session, segment, prompt and generation parameters, in canonical form."""
+    p = request.params
+    params = f"temperature={float(p.temperature)!r};max_tokens={int(p.max_tokens)};seed={p.seed}"
+    parts = "\x1f".join([backend_id, request.role.value, request.session_id, str(request.segment_index),
+                         request.prompt_hash, params])
     return hashlib.sha256(parts.encode("utf-8")).hexdigest()
 
 
@@ -153,8 +158,7 @@ def _fetch(
     In-process backends run inline; others on a pool of ``concurrency`` threads,
     which is the only limit on requests in flight.
     """
-    keys = [cache_key(backend.backend_id, r.role, r.session_id, r.segment_index, r.prompt_hash)
-            for r in requests]
+    keys = [cache_key(backend.backend_id, request) for request in requests]
     answers: dict[str, str | BackendError] = {}
     missing: dict[str, BackendRequest] = {}
     for key, request in zip(keys, requests):
@@ -404,51 +408,49 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
             )
         )
 
-    invalid_sessions = sorted(
-        sid for sid, segs in segments.items()
-        if segs and len(failed_segments[sid]) / len(segs) > cfg.failure_threshold
-    )
-
-    report = evaluate_predictions(
-        manifests=manifests,
-        taxonomy=taxonomy,
-        predictions=predictions,
-        cfg=cfg,
-        backend_id=backend.backend_id,
-        invalid_sessions=invalid_sessions,
-        failures=sorted(failures, key=lambda f: (f["session_id"], str(f["segment_index"]), f["role"])),
-    )
+    run_info = {
+        "backend_id": backend.backend_id,
+        "config": {
+            "modes": [m.value for m in cfg.modes],
+            "tasks": [t.value for t in cfg.tasks],
+            "chunk_lens": list(cfg.chunk_lens),
+            "window_s": cfg.window_s,
+            "fps": cfg.fps,
+            "min_activity_duration_s": cfg.min_activity_duration_s,
+            "failure_threshold": cfg.failure_threshold,
+            "seed": cfg.seed,
+            "concurrency": cfg.concurrency,
+        },
+        "invalid_sessions": sorted(
+            sid for sid, segs in segments.items()
+            if segs and len(failed_segments[sid]) / len(segs) > cfg.failure_threshold
+        ),
+        "failures": sorted(failures, key=lambda f: (f["session_id"], str(f["segment_index"]), f["role"])),
+    }
+    report = evaluate_predictions(manifests, taxonomy, predictions, run_info)
     write_report_files(report, predictions, cfg.report_dir)
     cache.flush()
     return report
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "modes": [m.value for m in cfg.modes],
-        "tasks": [t.value for t in cfg.tasks],
-        "chunk_lens": list(cfg.chunk_lens),
-        "window_s": cfg.window_s,
-        "fps": cfg.fps,
-        "min_activity_duration_s": cfg.min_activity_duration_s,
-        "failure_threshold": cfg.failure_threshold,
-        "seed": cfg.seed,
-        "concurrency": cfg.concurrency,
-    }
 
 
 def evaluate_predictions(
     manifests: Sequence[SessionManifest],
     taxonomy: ActivityTaxonomy,
     predictions: Sequence[aggregation.SegmentPrediction],
-    cfg: RunConfig,
-    backend_id: str,
-    invalid_sessions: Sequence[str] = (),
-    failures: Sequence[dict] = (),
+    run_info: Mapping[str, Any],
 ) -> dict:
     """Score parsed predictions against corpus ground truth: the report.json
-    document, with one row per (mode, chunk length) configuration."""
-    invalid = set(invalid_sessions)
+    document, with one row per (mode, chunk length) configuration.
+
+    ``run_info`` holds what the run decided: ``backend_id``, ``config`` (its
+    settings, whose modes, tasks, chunk lengths and activity duration threshold
+    are scored here), ``invalid_sessions`` and ``failures``. A run's own
+    report.json has these keys; its other keys are ignored.
+    """
+    config = run_info["config"]
+    modes = [RefinementMode(m) for m in config["modes"]]
+    tasks = [TaskKind(t) for t in config["tasks"]]
+    invalid = set(run_info["invalid_sessions"])
     grouped: dict[tuple[RefinementMode, int | None, TaskKind, str], list[aggregation.SegmentPrediction]] = {}
     for pred in predictions:
         if pred.session_id in invalid:
@@ -456,13 +458,13 @@ def evaluate_predictions(
         grouped.setdefault((pred.mode, pred.chunk_len_s, pred.task, pred.session_id), []).append(pred)
 
     rows = []
-    for mode in cfg.modes:
-        for chunk_len in _chunk_options(mode, cfg.chunk_lens):
+    for mode in modes:
+        for chunk_len in _chunk_options(mode, config["chunk_lens"]):
             cells: dict[str, float | None] = {}
             per_class: dict[str, dict[str, float]] = {}
             n_sessions: dict[str, int] = {}
             notes: dict[str, str] = {}
-            for task in cfg.tasks:
+            for task in tasks:
                 sessions = [
                     m for m in manifests
                     if m.session_id not in invalid and _has_gold(m, task)
@@ -478,7 +480,8 @@ def evaluate_predictions(
                     for m in sessions:
                         units = grouped.get((mode, chunk_len, task, m.session_id), [])
                         preds_map[m.session_id] = (
-                            aggregation.lift_session(units, cfg.min_activity_duration_s) if units else frozenset()
+                            aggregation.lift_session(units, config["min_activity_duration_s"])
+                            if units else frozenset()
                         )
                         gold_map[m.session_id] = m.ground_truth.session_activities
                     cells[task.value], per_class[task.value] = metrics.macro_f1_multilabel(
@@ -521,13 +524,13 @@ def evaluate_predictions(
 
     return {
         "schema_version": 1,
-        "backend_id": backend_id,
+        "backend_id": run_info["backend_id"],
         "taxonomy": taxonomy.name,
         "taxonomy_labels": list(taxonomy.labels),
-        "config": _config_echo(cfg),
+        "config": config,
         "rows": rows,
         "invalid_sessions": sorted(invalid & {m.session_id for m in manifests}),
-        "failures": list(failures),
+        "failures": list(run_info["failures"]),
     }
 
 

@@ -56,7 +56,8 @@ def parse_label(text: str, taxonomy: ActivityTaxonomy) -> ParsedLabel:
 
     Fuzzy matching finds labels as whole words in the text ("drawing" is not
     found in "withdrawing") and picks the one whose first occurrence is
-    earliest; a position tie between different labels yields Unknown.
+    earliest; of labels found at the same position, the longer one wins
+    ("toy play" over "toy"). Labels differ when normalized, so there is no tie.
     """
     norm = normalize(text)
     labels, aliases = taxonomy.match_forms
@@ -69,16 +70,10 @@ def parse_label(text: str, taxonomy: ActivityTaxonomy) -> ParsedLabel:
         if norm == form:
             return ParsedLabel(label=target, tier=MatchTier.ALIAS, raw=text)
 
-    occurrences: list[tuple[int, str]] = []
     padded = f" {norm} "
-    for form, label in labels:
-        pos = padded.find(f" {form} ")
-        if pos >= 0:
-            occurrences.append((pos, label))
-    if occurrences:
-        occurrences.sort(key=lambda item: item[0])
-        if len(occurrences) == 1 or occurrences[0][0] < occurrences[1][0]:
-            return ParsedLabel(label=occurrences[0][1], tier=MatchTier.FUZZY, raw=text)
+    found = [(pos, -len(form), label) for form, label in labels if (pos := padded.find(f" {form} ")) >= 0]
+    if found:
+        return ParsedLabel(label=min(found)[2], tier=MatchTier.FUZZY, raw=text)
 
     return ParsedLabel(label=None, tier=MatchTier.UNKNOWN, raw=text)
 

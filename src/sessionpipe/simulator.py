@@ -344,11 +344,6 @@ def _session_fixtures(
     return records
 
 
-def build_manifests(cfg: SimConfig) -> list[SessionManifest]:
-    """The synthetic sessions alone, without fixtures."""
-    return [_build_session(cfg, i).manifest for i in range(cfg.n_sessions)]
-
-
 def generate_corpus(
     cfg: SimConfig,
     out_dir: str | Path,

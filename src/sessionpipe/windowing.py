@@ -163,33 +163,16 @@ def _check_sorted(utterances: Sequence[TimedUtterance]) -> None:
             )
 
 
-def align_transcript(
-    utterances: Sequence[TimedUtterance],
-    window_start_s: float,
-    window_end_s: float,
-) -> str:
-    """Join the utterances whose midpoint falls in [start, end).
-
-    The midpoint rule assigns each utterance to exactly one window; text is
-    space-joined in input order.
-    """
-    _check_sorted(utterances)
-    picked = [
-        u.text
-        for u in utterances
-        if window_start_s <= u.midpoint_s < window_end_s
-    ]
-    return " ".join(picked)
-
-
 def fill_chunks(
     chunks: Iterable[TranscriptChunk],
     utterances: Sequence[TimedUtterance],
 ) -> list[TranscriptChunk]:
-    """Fill planned chunks with aligned utterance text (as align_transcript).
+    """Fill planned chunks with aligned utterance text.
 
-    Midpoints are sorted once; each chunk then takes its utterances by
-    bisection and joins them in input order.
+    Each utterance goes to the chunk whose [start, end) holds its midpoint, so
+    to exactly one chunk; a chunk's text is its utterances space-joined in
+    input order. Midpoints are sorted once and each chunk takes its utterances
+    by bisection.
     """
     _check_sorted(utterances)
     order = sorted(range(len(utterances)), key=lambda i: utterances[i].midpoint_s)

@@ -1,8 +1,10 @@
-"""Independent brute-force references for the evaluation metrics.
+"""Independent brute-force references for the evaluation metrics and for
+transcript alignment.
 
-These deliberately re-derive each metric from first principles (explicit
-confusion tabulation; AP by enumerating every distinct threshold) so the
-library implementations are checked against a second route, not themselves.
+These deliberately re-derive each result from first principles (explicit
+confusion tabulation; AP by enumerating every distinct threshold; a linear
+scan for each window's utterances) so the library implementations are checked
+against a second route, not themselves.
 """
 
 from __future__ import annotations
@@ -70,3 +72,8 @@ def brute_average_precision(items):
         ap += (recall - recall_prev) * precision
         recall_prev = recall
     return ap
+
+
+def align_transcript(utterances, window_start_s, window_end_s):
+    """Join the utterances whose midpoint falls in [start, end), in input order."""
+    return " ".join(u.text for u in utterances if window_start_s <= u.midpoint_s < window_end_s)

@@ -71,43 +71,52 @@ def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):
     assert result.exit_code == 0
 
 
+def _evaluate_args(sim_tree, predictions, report_dir):
+    return [
+        "evaluate",
+        "--corpus", str(sim_tree / "corpus"),
+        "--taxonomy", str(sim_tree / "corpus" / "taxonomy.json"),
+        "--predictions", str(predictions),
+        "--report-dir", str(report_dir),
+    ]
+
+
 def test_evaluate_rescores_predictions(runner, sim_tree, tmp_path):
-    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
-    result = runner.invoke(
-        main,
-        [
-            "evaluate",
-            "--corpus", str(sim_tree / "corpus"),
-            "--taxonomy", str(sim_tree / "corpus" / "taxonomy.json"),
-            "--predictions", str(tmp_path / "report" / "predictions.jsonl"),
-            "--report-dir", str(tmp_path / "rescored"),
-        ],
-    )
+    run_args = _run_args(sim_tree, tmp_path, **{"--seed": "3", "--concurrency": "2",
+                                                "--min-activity-duration-s": "48"})
+    assert runner.invoke(main, run_args).exit_code == 0
+    result = runner.invoke(main, _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl",
+                                                tmp_path / "rescored"))
     assert result.exit_code == 0, result.output
-    original = json.loads((tmp_path / "report" / "report.json").read_text())
-    rescored = json.loads((tmp_path / "rescored" / "report.json").read_text())
-    assert [r["metrics"] for r in rescored["rows"]] == [r["metrics"] for r in original["rows"]]
+    for name in ("report.json", "report.md", "predictions.jsonl"):
+        assert (tmp_path / "rescored" / name).read_bytes() == (tmp_path / "report" / name).read_bytes()
 
 
-def test_evaluate_excluded_session_reproduces_run_rows(runner, sim_tree, tmp_path):
+def test_evaluate_with_no_flags_reproduces_the_holey_run(runner, sim_tree, tmp_path):
     assert runner.invoke(main, _holey_run_args(sim_tree, tmp_path) + ["--allow-partial"]).exit_code == 0
-    original = json.loads((tmp_path / "report" / "report.json").read_text())
-    assert original["invalid_sessions"] == ["sim-001"]
+    original = (tmp_path / "report" / "report.json").read_bytes()
+    assert json.loads(original)["invalid_sessions"] == ["sim-001"]
+    result = runner.invoke(main, _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl",
+                                                tmp_path / "rescored"))
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "rescored" / "report.json").read_bytes() == original
 
-    def rescored_rows(*extra):
-        out = tmp_path / f"rescored{len(extra)}"
-        result = runner.invoke(main, [
-            "evaluate",
-            "--corpus", str(sim_tree / "corpus"),
-            "--taxonomy", str(sim_tree / "corpus" / "taxonomy.json"),
-            "--predictions", str(tmp_path / "report" / "predictions.jsonl"),
-            "--report-dir", str(out), *extra,
-        ])
-        assert result.exit_code == 0, result.output
-        return json.loads((out / "report.json").read_text())["rows"]
 
-    assert rescored_rows("--exclude-session", "sim-001") == original["rows"]
-    assert rescored_rows() != original["rows"]  # sim-001 would be scored with no predictions
+def test_evaluate_needs_the_runs_report(runner, sim_tree, tmp_path):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    alone = tmp_path / "alone" / "predictions.jsonl"
+    alone.parent.mkdir()
+    alone.write_bytes((tmp_path / "report" / "predictions.jsonl").read_bytes())
+    result = runner.invoke(main, _evaluate_args(sim_tree, alone, tmp_path / "rescored"))
+    assert result.exit_code == 2
+    assert "report.json" in result.output
+    assert not (tmp_path / "rescored").exists()
+
+
+def test_evaluate_takes_no_scoring_options(runner):
+    help_text = runner.invoke(main, ["evaluate", "--help"]).output
+    assert "--exclude-session" not in help_text
+    assert "--min-activity-duration-s" not in help_text
 
 
 def test_report_rerenders_markdown(runner, sim_tree, tmp_path):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from sessionpipe.corpus import (
     SessionManifest,
     TimelineEntry,
     UnknownLabelError,
-    default_taxonomy,
     load_corpus,
     load_taxonomy,
     manifest_from_dict,
@@ -20,6 +20,8 @@ from sessionpipe.corpus import (
     save_taxonomy,
     write_corpus,
 )
+
+EXAMPLE_TAXONOMIES = Path(__file__).resolve().parent / "data"
 
 
 def _write_taxonomy(tmp_path, doc):
@@ -54,11 +56,15 @@ class TestTaxonomy:
         with pytest.raises(DuplicateLabelError):
             ActivityTaxonomy(name="t", labels=())
 
-    def test_default_diagnostic_has_14_labels(self):
-        assert len(default_taxonomy(DatasetKind.DIAGNOSTIC).labels) == 14
+    def test_normalized_duplicate_rejected(self):
+        with pytest.raises(DuplicateLabelError):
+            ActivityTaxonomy(name="t", labels=("make-believe play", "Make believe  play!"))
 
-    def test_default_naturalistic_has_13_labels(self):
-        taxonomy = default_taxonomy(DatasetKind.NATURALISTIC)
+    def test_example_diagnostic_has_14_labels(self):
+        assert len(load_taxonomy(EXAMPLE_TAXONOMIES / "taxonomy_diagnostic.json").labels) == 14
+
+    def test_example_naturalistic_has_13_labels(self):
+        taxonomy = load_taxonomy(EXAMPLE_TAXONOMIES / "taxonomy_naturalistic.json")
         assert len(taxonomy.labels) == 13
         assert "shared book reading" in taxonomy.labels
 

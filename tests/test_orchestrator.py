@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
-from sessionpipe.backends import Backend, FixtureStore, MockBackend, read_jsonl
+from sessionpipe.backends import (
+    Backend,
+    BackendRequest,
+    FixtureStore,
+    GenerationParams,
+    MockBackend,
+    Role,
+    read_jsonl,
+)
 from sessionpipe.corpus import TaskKind
 from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, report_row, run
 from sessionpipe.prompting import RefinementMode
@@ -64,6 +72,15 @@ class TestRun:
         second = MockBackend(store)
         run(cfg, backend=second)
         assert second.call_count == 0
+
+    def test_new_seed_sends_every_request_again(self, sim_out, tmp_path):
+        store = FixtureStore.load_jsonl(sim_out.fixtures_path)
+        cold = MockBackend(store)
+        run(make_config(sim_out, tmp_path, seed=0), backend=cold)
+        reseeded = MockBackend(store)
+        report = run(make_config(sim_out, tmp_path, seed=1), backend=reseeded)
+        assert reseeded.call_count == cold.call_count > 0
+        assert report["config"]["seed"] == 1
 
     def test_two_fresh_runs_byte_identical_report(self, sim_out, tmp_path):
         cfg1 = make_config(sim_out, tmp_path / "one")
@@ -315,14 +332,7 @@ class TestEvaluateFromPredictions:
 
         taxonomy = load_taxonomy(cfg.taxonomy_path)
         manifests = load_corpus(cfg.corpus_dir, taxonomy)
-        again = orchestrator.evaluate_predictions(
-            manifests=manifests,
-            taxonomy=taxonomy,
-            predictions=preds,
-            cfg=cfg,
-            backend_id=report["backend_id"],
-        )
-        assert [r["metrics"] for r in again["rows"]] == [r["metrics"] for r in report["rows"]]
+        assert orchestrator.evaluate_predictions(manifests, taxonomy, preds, report) == report
 
 
 class TestRunConfigValidation:
@@ -351,6 +361,37 @@ class TestRunConfigValidation:
             run(make_config(sim_out, tmp_path, chunk_lens=(16, 32)), backend=backend)
         assert backend.call_count == 0
         assert not (tmp_path / "report").exists()
+
+
+_REQUEST_FIELDS = {
+    "backend_id": st.text(min_size=1, max_size=8),
+    "role": st.sampled_from(Role),
+    "session_id": st.text(min_size=1, max_size=8),
+    "segment_index": st.one_of(st.none(), st.integers(min_value=0, max_value=500)),
+    "prompt": st.text(min_size=1, max_size=40),
+    "temperature": st.floats(min_value=0.0, max_value=2.0),
+    "max_tokens": st.integers(min_value=1, max_value=4096),
+    "seed": st.one_of(st.none(), st.integers(min_value=0, max_value=2**32)),
+}
+
+
+def _key(fields):
+    request = BackendRequest(
+        role=fields["role"], session_id=fields["session_id"], prompt=fields["prompt"],
+        segment_index=fields["segment_index"], media_ref=None if fields["role"] is Role.REASONER else "file:///v",
+        params=GenerationParams(temperature=fields["temperature"], max_tokens=fields["max_tokens"],
+                                seed=fields["seed"]),
+    )
+    return orchestrator.cache_key(fields["backend_id"], request)
+
+
+@given(fields=st.fixed_dictionaries(_REQUEST_FIELDS), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cache_key_changes_with_any_one_request_input(fields, data):
+    name = data.draw(st.sampled_from(sorted(_REQUEST_FIELDS)))
+    value = data.draw(_REQUEST_FIELDS[name].filter(lambda v: v != fields[name]))
+    assert _key(fields) == _key(dict(fields))
+    assert _key({**fields, name: value}) != _key(fields)
 
 
 def _fixture_keys(path):

@@ -27,6 +27,7 @@ class TestParseLabel:
     def test_taxonomy_normalized_once(self, taxonomy, monkeypatch):
         texts = []
         monkeypatch.setattr(parsing, "normalize", lambda text: texts.append(text) or normalize(text))
+        taxonomy = ActivityTaxonomy(name=taxonomy.name, labels=taxonomy.labels, aliases=taxonomy.aliases)
         for text in ["toy play", "book reading", "we did some toy play", "???"] * 5:
             parse_label(text, taxonomy)
         assert len(texts) == 20 + len(taxonomy.labels) + len(taxonomy.aliases)
@@ -40,9 +41,11 @@ class TestParseLabel:
         text = "first toy play, later shared book reading"
         assert parse_label(text, taxonomy).label == "toy play"
 
-    def test_position_tie_is_unknown(self):
+    def test_longer_label_wins_at_the_same_position(self):
         taxonomy = ActivityTaxonomy(name="t", labels=("toy", "toy play"))
-        assert parse_label("we saw toy play here", taxonomy).tier is MatchTier.UNKNOWN
+        parsed = parse_label("we saw toy play here", taxonomy)
+        assert (parsed.label, parsed.tier) == ("toy play", MatchTier.FUZZY)
+        assert parse_label("we saw toy blocks", taxonomy).label == "toy"
 
     @pytest.mark.parametrize("text", ["Withdrawing from the table.", "They watch a screenplay."])
     def test_fuzzy_matches_whole_words_only(self, text):

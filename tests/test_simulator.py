@@ -9,9 +9,14 @@ from sessionpipe.simulator import (
     InvalidConfigError,
     NoiseSpec,
     SimConfig,
-    build_manifests,
+    _build_session,
     generate_corpus,
 )
+
+
+def build_manifests(cfg):
+    """The synthetic sessions alone, without writing a corpus or fixtures."""
+    return [_build_session(cfg, i).manifest for i in range(cfg.n_sessions)]
 
 
 class TestConfigValidation:
