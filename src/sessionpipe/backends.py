@@ -295,10 +295,12 @@ class HttpChatBackend(Backend):
                 raise RequestRejectedError(message)
             raise TransportError(message)
         try:
-            payload = resp.json()
-            return payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponseError(f"unexpected response body: {resp.text[:200]}") from exc
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):  # also null content, sent for refusals and tool calls
+            raise MalformedResponseError(f"unexpected response body: {resp.text[:200]}")
+        return content
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         body = self._body(request)

@@ -14,6 +14,7 @@ from .prompting import RefinementMode
 
 _MODE_CHOICES = [m.value for m in RefinementMode]
 _TASK_CHOICES = [t.value for t in TaskKind]
+_RUN_DEFAULTS = orchestrator.RunConfig  # the run options default to its field defaults
 
 
 @click.group()
@@ -73,17 +74,17 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 @click.option("--fixtures", "fixtures_path", type=click.Path(path_type=Path), default=None,
               help="Fixture JSONL for the deterministic mock backend.")
 @click.option("--endpoint", default=None, help="Base URL of a chat-completions server.")
-@click.option("--model", default="local-model", show_default=True)
+@click.option("--model", default=_RUN_DEFAULTS.model, show_default=True)
 @click.option("--api-key", default=None)
 @click.option("--modes", default=",".join(_MODE_CHOICES), show_default=True)
 @click.option("--tasks", default=",".join(_TASK_CHOICES), show_default=True)
-@click.option("--chunk-lens", default="16", show_default=True)
-@click.option("--concurrency", type=int, default=4, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--window-s", type=float, default=16.0, show_default=True)
-@click.option("--fps", type=float, default=1.0, show_default=True)
-@click.option("--min-activity-duration-s", type=float, default=90.0, show_default=True)
-@click.option("--failure-threshold", type=float, default=0.1, show_default=True)
+@click.option("--chunk-lens", default=",".join(map(str, _RUN_DEFAULTS.chunk_lens)), show_default=True)
+@click.option("--concurrency", type=int, default=_RUN_DEFAULTS.concurrency, show_default=True)
+@click.option("--seed", type=int, default=_RUN_DEFAULTS.seed, show_default=True)
+@click.option("--window-s", type=float, default=_RUN_DEFAULTS.window_s, show_default=True)
+@click.option("--fps", type=float, default=_RUN_DEFAULTS.fps, show_default=True)
+@click.option("--min-activity-duration-s", type=float, default=_RUN_DEFAULTS.min_activity_duration_s, show_default=True)
+@click.option("--failure-threshold", type=float, default=_RUN_DEFAULTS.failure_threshold, show_default=True)
 @click.option("--allow-partial", is_flag=True,
               help="Exit zero even when sessions were marked invalid.")
 @click.option("--template-dir", type=click.Path(path_type=Path), default=None)
@@ -96,7 +97,7 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
             corpus_dir=corpus_dir,
             taxonomy_path=taxonomy_path,
             report_dir=report_dir,
-            cache_dir=cache_dir if cache_dir is not None else report_dir / "cache",
+            cache_dir=cache_dir,
             fixtures_path=fixtures_path,
             endpoint=endpoint,
             model=model,

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Any, Iterable, Mapping, NamedTuple, Sequence
 
 from . import aggregation, metrics, windowing
 from .backends import (
@@ -56,11 +57,7 @@ from .windowing import Segment, TranscriptChunk
 ALL_MODES = tuple(RefinementMode)
 ALL_TASKS = tuple(TaskKind)
 
-_ROLE_CACHE_FILES = {
-    Role.CAPTIONER: "captions.jsonl",
-    Role.TRANSCRIBER: "transcripts.jsonl",
-    Role.REASONER: "reasoner.jsonl",
-}
+JOURNAL_NAME = "responses.jsonl"  # stands for cache_key's schema: rename it when the key changes
 
 
 def cache_key(backend_id: str, request: BackendRequest) -> str:
@@ -78,7 +75,7 @@ class RunConfig:
     corpus_dir: Path
     taxonomy_path: Path
     report_dir: Path
-    cache_dir: Path | None = None
+    cache_dir: Path | None = None  # None: report_dir / "cache"
     modes: tuple[RefinementMode, ...] = ALL_MODES
     tasks: tuple[TaskKind, ...] = ALL_TASKS
     chunk_lens: tuple[int, ...] = (16,)
@@ -98,8 +95,10 @@ class RunConfig:
         self.corpus_dir = Path(self.corpus_dir)
         self.taxonomy_path = Path(self.taxonomy_path)
         self.report_dir = Path(self.report_dir)
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
+        self.cache_dir = Path(self.cache_dir) if self.cache_dir is not None else self.report_dir / "cache"
+        if stale := sorted(p.name for p in self.cache_dir.glob("*.jsonl") if p.name != JOURNAL_NAME):
+            raise ValueError(f"{self.cache_dir} holds cache files of an older layout: {', '.join(stale)}. Their "
+                             f"lines are journal lines: append them to {JOURNAL_NAME}, or remove them.")
         # canonical ordering keeps reports byte-stable regardless of input order
         self.modes = tuple(m for m in RefinementMode if m in set(self.modes))
         self.tasks = tuple(t for t in TaskKind if t in set(self.tasks))
@@ -114,38 +113,40 @@ class RunConfig:
 
 
 class ResponseCache:
-    """Content-addressed response store, persisted as per-role JSONL files."""
+    """Answers by cache key, appended as they arrive to the journal ``cache_dir/responses.jsonl``,
+    one sorted-key JSON line each; loading cuts off a last line without a newline (a torn write)."""
 
-    def __init__(self, cache_dir: Path | None):
-        self._dir = cache_dir
-        self._records: dict[str, dict] = {}
-        self._dirty = False
-        if cache_dir is not None:
-            for fname in _ROLE_CACHE_FILES.values():
-                if (cache_dir / fname).exists():
-                    self._records.update((r["key"], r) for r in read_jsonl(cache_dir / fname))
+    def __init__(self, cache_dir: Path):
+        self._path = cache_dir / JOURNAL_NAME
+        self._texts: dict[str, str] = {}
+        self._journal: IO[str] | None = None  # opened by the first put
+        if self._path.exists():
+            whole = 0  # bytes up to the end of the last whole line
+            with open(self._path, "rb") as fh:
+                for line in fh:
+                    if not line.endswith(b"\n"):
+                        os.truncate(self._path, whole)
+                        break
+                    record = json.loads(line)
+                    self._texts[record["key"]] = record["text"]
+                    whole += len(line)
 
-    def get(self, key: str) -> dict | None:
-        return self._records.get(key)
+    def get(self, key: str) -> str | None:
+        return self._texts.get(key)
 
     def put(self, record: dict) -> None:
-        self._records[record["key"]] = record
-        self._dirty = True
+        line = json.dumps(record, sort_keys=True) + "\n"  # raises before anything is appended
+        if self._journal is None:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            self._journal = open(self._path, "a", encoding="utf-8", buffering=1)  # each line reaches the OS
+        self._journal.write(line)
+        self._texts[record["key"]] = record["text"]
 
     def flush(self) -> None:
-        """Rewrite the role files, if changed, each via a temp file and rename."""
-        if self._dir is None:
-            return
-        paths = {role: self._dir / fname for role, fname in _ROLE_CACHE_FILES.items()}
-        if not self._dirty and all(path.exists() for path in paths.values()):
-            return
-        self._dir.mkdir(parents=True, exist_ok=True)
-        by_role: dict[str, list[dict]] = {role.value: [] for role in Role}
-        for record in self._records.values():
-            by_role[record["role"]].append(record)
-        for role, path in paths.items():
-            write_jsonl(path, sorted(by_role[role.value], key=lambda r: r["key"]))
-        self._dirty = False
+        """Close the journal; every answer is already written to it."""
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
 
 def _fetch(
@@ -159,15 +160,9 @@ def _fetch(
     which is the only limit on requests in flight.
     """
     keys = [cache_key(backend.backend_id, request) for request in requests]
-    answers: dict[str, str | BackendError] = {}
-    missing: dict[str, BackendRequest] = {}
-    for key, request in zip(keys, requests):
-        if key not in answers and key not in missing:
-            cached = cache.get(key)
-            if cached is None:
-                missing[key] = request
-            else:
-                answers[key] = cached["text"]
+    answers: dict[str, str | BackendError | None] = {key: cache.get(key) for key in dict.fromkeys(keys)}
+    # requests that share a key send the same thing, so the last of them stands for all
+    missing = {key: request for key, request in zip(keys, requests) if answers[key] is None}
 
     def call(key: str) -> str | BackendError:
         try:
@@ -178,14 +173,17 @@ def _fetch(
     if missing:
         ordered = sorted(missing)
         inline = backend.in_process
-        with nullcontext() if inline else ThreadPoolExecutor(max_workers=concurrency) as pool:
-            for key, answer in zip(ordered, (map if inline else pool.map)(call, ordered)):
-                answers[key] = answer
-                if not isinstance(answer, BackendError):
-                    request = missing[key]
-                    cache.put({"key": key, "role": request.role.value, "session_id": request.session_id,
-                               "segment_index": request.segment_index, "prompt_hash": request.prompt_hash,
-                               "backend_id": backend.backend_id, "text": answer})
+        try:
+            with nullcontext() if inline else ThreadPoolExecutor(max_workers=concurrency) as pool:
+                for key, answer in zip(ordered, (map if inline else pool.map)(call, ordered)):
+                    answers[key] = answer
+                    if not isinstance(answer, BackendError):
+                        request = missing[key]
+                        cache.put({"key": key, "role": request.role.value, "session_id": request.session_id,
+                                   "segment_index": request.segment_index, "prompt_hash": request.prompt_hash,
+                                   "backend_id": backend.backend_id, "text": answer})
+        finally:
+            cache.flush()  # closes the journal, also when a kill or a bug raises past call
     return [(key, answers[key]) for key in keys]
 
 
@@ -429,7 +427,6 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     }
     report = evaluate_predictions(manifests, taxonomy, predictions, run_info)
     write_report_files(report, predictions, cfg.report_dir)
-    cache.flush()
     return report
 
 

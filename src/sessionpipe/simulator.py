@@ -29,7 +29,7 @@ from .corpus import (
     TaskKind,
     TimelineEntry,
 )
-from .orchestrator import ALL_MODES, ALL_TASKS, plan_extraction, plan_units, transcript_chunks
+from .orchestrator import ALL_MODES, ALL_TASKS, RunConfig, plan_extraction, plan_units, transcript_chunks
 from .parsing import MatchTier, ParsedLabel
 from .prompting import TRANSCRIPT_MODES, RefinementMode
 from .windowing import Segment, TimedUtterance
@@ -62,7 +62,6 @@ E_BASE_RATES: Mapping[TaskKind, float] = {
 
 ACTIVITY_DWELL_S = (40.0, 120.0)  # uniform range of one timeline entry's length
 CUE_SEGMENT_RATE = 0.35  # chance that a Presence session shows its cue in a segment
-WINDOW_S = 16.0  # segment length, the run's default --window-s
 
 # Phrases that mark a behavior in caption/transcript text. They must not
 # contain any taxonomy label as a substring.
@@ -189,7 +188,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
     session_id = f"sim-{index:03d}"
     rng_world = _derived_rng(cfg.seed, session_id, "world")
     timeline = _make_timeline(cfg, rng_world)
-    segments = windowing.plan_segments(cfg.duration_s, WINDOW_S, session_id=session_id)
+    segments = windowing.plan_segments(cfg.duration_s, RunConfig.window_s, session_id=session_id)
     true_labels = []
     for seg in segments:
         label = metrics.resolve_segment_gold(seg, timeline)

@@ -58,7 +58,21 @@ def test_run_writes_report(runner, sim_tree, tmp_path):
     report = json.loads((tmp_path / "report" / "report.json").read_text())
     assert report["rows"][0]["metrics"]["activity_segmentation"] == 1.0
     # default cache location is inside the report dir
-    assert (tmp_path / "report" / "cache" / "reasoner.jsonl").exists()
+    assert [p.name for p in (tmp_path / "report" / "cache").iterdir()] == ["responses.jsonl"]
+
+
+def test_run_refuses_an_older_cache_layout(runner, sim_tree, tmp_path):
+    cache = tmp_path / "report" / "cache"
+    cache.mkdir(parents=True)
+    old = ["captions.jsonl", "reasoner.jsonl", "transcripts.jsonl"]
+    for name in old:
+        (cache / name).write_text('{"key": "k", "text": "t"}\n')
+    result = runner.invoke(main, _run_args(sim_tree, tmp_path))
+    assert result.exit_code != 0
+    assert ", ".join(old) in result.output
+    assert "append them to responses.jsonl, or remove them" in result.output
+    assert sorted(p.name for p in cache.iterdir()) == old  # nothing deleted, nothing journaled
+    assert not (tmp_path / "report" / "report.json").exists()
 
 
 def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):

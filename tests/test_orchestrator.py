@@ -13,11 +13,14 @@ from sessionpipe.backends import (
     BackendRequest,
     FixtureStore,
     GenerationParams,
+    HttpBackendConfig,
+    HttpChatBackend,
     MockBackend,
     Role,
     read_jsonl,
 )
 from sessionpipe.corpus import TaskKind
+from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, report_row, run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
@@ -60,8 +63,7 @@ class TestRun:
         assert json.loads((cfg.report_dir / "report.json").read_text()) == report
         assert (cfg.report_dir / "report.md").exists()
         assert (cfg.report_dir / "predictions.jsonl").exists()
-        for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl"):
-            assert (cfg.cache_dir / name).exists()
+        assert [p.name for p in cfg.cache_dir.iterdir()] == ["responses.jsonl"]
 
     def test_warm_cache_issues_zero_calls(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
@@ -120,8 +122,8 @@ class TestRun:
         report = run(cfg)
         row = report_row(report, RefinementMode.ZERO_SHOT, None)
         assert row["metrics"]["activity_segmentation"] == 1.0
-        reasoner_cache = cfg.cache_dir / "reasoner.jsonl"
-        assert reasoner_cache.read_text(encoding="utf-8") == ""
+        roles = {record["role"] for record in read_jsonl(cfg.cache_dir / "responses.jsonl")}
+        assert roles == {"captioner"}
 
     def test_results_independent_of_concurrency(self, sim_out, tmp_path):
         cfg1 = make_config(sim_out, tmp_path / "c1", concurrency=1)
@@ -136,11 +138,7 @@ class TestRun:
     def test_predictions_traceable_to_cache(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
-        cached_keys = {
-            record["key"]
-            for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl")
-            for record in read_jsonl(cfg.cache_dir / name)
-        }
+        cached_keys = {record["key"] for record in read_jsonl(cfg.cache_dir / "responses.jsonl")}
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         assert preds
         assert all(p.cache_key in cached_keys for p in preds)
@@ -150,12 +148,12 @@ class TestExecution:
     def test_warm_run_loads_no_fixtures_and_sends_nothing(self, sim_out, tmp_path, monkeypatch):
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
-        files = [cfg.cache_dir / n for n in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl")]
+        journal = cfg.cache_dir / "responses.jsonl"
 
         def state():
-            stats = [p.stat() for p in files]
-            return ([p.read_bytes() for p in files], [(s.st_ino, s.st_mtime_ns) for s in stats],
-                    (cfg.report_dir / "report.json").read_bytes())
+            stat = journal.stat()
+            return (journal.read_bytes(), stat.st_ino, stat.st_mtime_ns, stat.st_size,
+                    sorted(p.name for p in cfg.cache_dir.iterdir()), (cfg.report_dir / "report.json").read_bytes())
 
         before = state()
         calls = []
@@ -167,7 +165,7 @@ class TestExecution:
                             lambda self, request: calls.append("complete") or complete(self, request))
         run(cfg)
         assert calls == []
-        assert state() == before  # same bytes, and no cache file rewritten
+        assert state() == before  # same bytes, and the journal neither rewritten nor touched
 
     def test_key_planned_twice_is_sent_once(self, tmp_path):
         # with every utterance dropped, the 16 s and 64 s chunks at one index
@@ -238,27 +236,45 @@ def _record(key, role="reasoner", text="ok"):
             "prompt_hash": "h", "backend_id": "mock", "text": text}
 
 
-class TestResponseCacheFlush:
-    def test_failed_flush_leaves_previous_file_whole(self, tmp_path):
+class TestResponseCacheJournal:
+    def test_failed_put_appends_nothing(self, tmp_path):
         cache = ResponseCache(tmp_path)
         for i in range(3):
             cache.put(_record(f"k{i}"))
-        cache.put(_record("c0", role="captioner"))
-        cache.flush()
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-
-        cache = ResponseCache(tmp_path)
-        cache.put(_record("k5"))
-        cache.put(_record("k9", text=object()))  # sorts last: fails after k0..k5 are written
+        before = (tmp_path / "responses.jsonl").read_bytes()  # three lines, written while the cache is open
+        assert len(before.splitlines()) == 3
         with pytest.raises(TypeError):
-            cache.flush()
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-        assert ResponseCache(tmp_path).get("k2") == _record("k2")
+            cache.put(_record("k9", text=object()))
+        assert (tmp_path / "responses.jsonl").read_bytes() == before
+        cache.put(_record("k3"))
+        cache.flush()
+        assert [r["key"] for r in read_jsonl(tmp_path / "responses.jsonl")] == ["k0", "k1", "k2", "k3"]
+        reloaded = ResponseCache(tmp_path)
+        assert reloaded.get("k9") is None
+        assert reloaded.get("k2") == "ok"
 
-    def test_flush_writes_missing_files_even_when_clean(self, tmp_path):
-        ResponseCache(tmp_path / "cache").flush()
-        assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
-            "captions.jsonl", "reasoner.jsonl", "transcripts.jsonl"]
+    def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        cache.put(_record("k0"))
+        cache.put(_record("k1", text="second"))
+        cache.flush()
+        journal = tmp_path / "responses.jsonl"
+        whole = journal.read_bytes()
+        first_line = whole[: whole.index(b"\n") + 1]
+        journal.write_bytes(whole[:-5])
+        cache = ResponseCache(tmp_path)
+        assert journal.read_bytes() == first_line
+        assert (cache.get("k0"), cache.get("k1")) == ("ok", None)
+        cache.put(_record("k1", text="second"))
+        cache.flush()
+        assert journal.read_bytes() == whole
+
+    def test_other_jsonl_files_in_the_cache_dir_are_refused(self, tmp_path):
+        (tmp_path / "captions.jsonl").write_text("")
+        (tmp_path / "responses.jsonl").write_text("")
+        with pytest.raises(ValueError, match="captions.jsonl") as err:
+            RunConfig(corpus_dir=tmp_path, taxonomy_path=tmp_path, report_dir=tmp_path, cache_dir=tmp_path)
+        assert "append them to responses.jsonl" in str(err.value)
 
 
 class TestFailureHandling:
@@ -287,6 +303,30 @@ class TestFailureHandling:
         report = run(cfg, backend=backend)
         row = report_row(report, RefinementMode.MULTIMODAL, 16)
         assert row["n_sessions"]["e1_overactivity"] <= 5
+
+    def test_null_completion_content_fails_one_request_not_the_run(self, tmp_path):
+        # chat servers send "content": null for refusals and tool calls
+        modes = (RefinementMode.VIDEO_ONLY,)
+        out = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=64.0), tmp_path / "sim", modes=modes)
+        store = FixtureStore.load_jsonl(out.fixtures_path)
+        refused = next(r for r in store.records() if r["role"] == "reasoner" and r["segment_index"] == 2)
+        refused_key = (Role.REASONER, refused["session_id"], 2, refused["prompt_hash"])
+        lookups = []
+
+        class Refusing(FixtureStore):
+            def lookup(self, *key):
+                lookups.append(key)
+                return None if key == refused_key else super().lookup(*key)
+
+        with FixtureChatServer(Refusing(store.records())) as server:
+            backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url, backoff_s=0.01))
+            report = run(make_config(out, tmp_path, modes=modes, fixtures_path=None), backend=backend)
+        assert lookups.count(refused_key) == 1  # malformed: not retried
+        assert [(f["role"], f["segment_index"], f["prompt_hash"], f["error"].split(":")[0])
+                for f in report["failures"]] == [("reasoner", 2, refused["prompt_hash"], "MalformedResponseError")]
+        assert report["invalid_sessions"] == [refused["session_id"]]
+        keys = {record["key"] for record in read_jsonl(tmp_path / "cache" / "responses.jsonl")}
+        assert len(keys) == len(lookups) - 1
 
 
 class TestNaturalisticCorpus:
@@ -420,7 +460,6 @@ def test_run_requests_exactly_the_simulated_fixtures(seed, n_sessions, duration_
         )
         report = run(cfg)
         assert report["failures"] == []
-        requested = set()
-        for name in ("captions.jsonl", "transcripts.jsonl", "reasoner.jsonl"):
-            requested |= _fixture_keys(cfg.cache_dir / name)
+        journal = cfg.cache_dir / "responses.jsonl"  # made by the first answer, so absent if none was sent
+        requested = _fixture_keys(journal) if journal.exists() else set()
         assert requested == _fixture_keys(out.fixtures_path)
