@@ -115,7 +115,11 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
         )
     except ValueError as exc:  # RunConfig rejects bad option values
         raise click.BadParameter(str(exc)) from None
-    report = orchestrator.run(cfg)
+    try:
+        report = orchestrator.run(cfg)
+    except orchestrator.DamagedJournalError as exc:
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(2)
     click.echo(f"report written to {report_dir}")
     if report["invalid_sessions"]:
         click.echo(f"invalid sessions: {', '.join(report['invalid_sessions'])}", err=True)

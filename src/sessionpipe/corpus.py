@@ -104,6 +104,11 @@ class ActivityTaxonomy:
             tuple((normalize(alias), target) for alias, target in self.aliases.items()),
         )
 
+    @cached_property
+    def labels_block(self) -> str:
+        """The labels as the ``- label`` lines task prompts list them in, rendered once."""
+        return "\n".join(f"- {label}" for label in self.labels)
+
 
 @dataclass(frozen=True)
 class TimelineEntry:

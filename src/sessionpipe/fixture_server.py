@@ -8,6 +8,7 @@ HTTP client and the mock are interchangeable end to end.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -65,12 +66,18 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         )
 
 
+class _Server(ThreadingHTTPServer):
+    # Each request opens a connection (HTTP/1.0). With the stdlib's backlog of 5,
+    # a pool of 8 clients overflows it and a dropped connect waits out a 1 s SYN retry.
+    request_queue_size = socket.SOMAXCONN
+
+
 class FixtureChatServer:
     """Threaded stub server; use as a context manager in tests and scripts."""
 
     def __init__(self, store: FixtureStore, host: str = "127.0.0.1", port: int = 0):
         handler = type("BoundFixtureHandler", (_FixtureHandler,), {"store": store})
-        self._server = ThreadingHTTPServer((host, port), handler)
+        self._server = _Server((host, port), handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property

@@ -13,11 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import IO, Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from . import aggregation, metrics, windowing
 from .backends import (
@@ -112,9 +114,14 @@ class RunConfig:
         windowing.check_chunk_lengths(self.chunk_lens)
 
 
+class DamagedJournalError(ValueError):
+    """A whole journal line is not a JSON object with a string key and text."""
+
+
 class ResponseCache:
     """Answers by cache key, appended as they arrive to the journal ``cache_dir/responses.jsonl``,
-    one sorted-key JSON line each; loading cuts off a last line without a newline (a torn write)."""
+    one sorted-key JSON line each. Loading keeps the last line of each key, cuts off a last line
+    without a newline (a torn write) and refuses any other line that is not a record."""
 
     def __init__(self, cache_dir: Path):
         self._path = cache_dir / JOURNAL_NAME
@@ -123,12 +130,20 @@ class ResponseCache:
         if self._path.exists():
             whole = 0  # bytes up to the end of the last whole line
             with open(self._path, "rb") as fh:
-                for line in fh:
+                for number, line in enumerate(fh, 1):
                     if not line.endswith(b"\n"):
                         os.truncate(self._path, whole)
                         break
-                    record = json.loads(line)
-                    self._texts[record["key"]] = record["text"]
+                    try:
+                        record = json.loads(line)
+                        key, text = record["key"], record["text"]
+                        if not (isinstance(key, str) and isinstance(text, str)):
+                            raise TypeError
+                    except (ValueError, TypeError, KeyError):
+                        raise DamagedJournalError(
+                            f"{self._path}: line {number} is not a JSON object with a string key and text; "
+                            "repair or delete that line") from None
+                    self._texts[key] = text
                     whole += len(line)
 
     def get(self, key: str) -> str | None:
@@ -149,42 +164,76 @@ class ResponseCache:
             self._journal = None
 
 
-def _fetch(
-    backend: Backend, cache: ResponseCache, concurrency: int, requests: Sequence[BackendRequest]
-) -> list[tuple[str, str | BackendError]]:
-    """(cache key, answer text or error) for each request, in request order.
-
-    Each distinct key is looked up in the cache once; each missing one is sent
-    to the backend once, in key order, and its answer put into the cache.
-    In-process backends run inline; others on a pool of ``concurrency`` threads,
-    which is the only limit on requests in flight.
-    """
-    keys = [cache_key(backend.backend_id, request) for request in requests]
-    answers: dict[str, str | BackendError | None] = {key: cache.get(key) for key in dict.fromkeys(keys)}
-    # requests that share a key send the same thing, so the last of them stands for all
-    missing = {key: request for key, request in zip(keys, requests) if answers[key] is None}
-
-    def call(key: str) -> str | BackendError:
+def _unusable(request: BackendRequest, text: str) -> BackendError | None:
+    """Why an answer cannot be used, or None: a transcript must parse."""
+    if request.role is Role.TRANSCRIBER:
         try:
-            return backend.complete(missing[key]).text.strip()
+            parse_utterances_json(text)
         except BackendError as exc:
             return exc
+    return None
 
-    if missing:
-        ordered = sorted(missing)
-        inline = backend.in_process
+
+T = TypeVar("T")
+
+
+def _fetch(
+    backend: Backend, cache: ResponseCache, concurrency: int, planned: Iterable[tuple[T, BackendRequest]]
+) -> Iterator[tuple[T, str, str | BackendError]]:
+    """(item, cache key, answer text or error) for each planned (item, request), in plan order.
+
+    The plan is read lazily. A key found in the cache, or sent earlier in this
+    call, is not sent again, also while its request is in flight or after it
+    failed. A cached transcript that does not parse counts as missing. Each new
+    usable answer is appended to the cache as it is yielded, so the journal
+    follows plan order. In-process backends run inline, one request at a time;
+    others on a pool of ``concurrency`` threads, with at most
+    ``2 * concurrency`` planned items not yet yielded. On any exception,
+    requests not yet started are cancelled; the journal is closed in any case,
+    so callers close the generator when they stop early.
+    """
+    def call(request: BackendRequest) -> str | BackendError:
         try:
-            with nullcontext() if inline else ThreadPoolExecutor(max_workers=concurrency) as pool:
-                for key, answer in zip(ordered, (map if inline else pool.map)(call, ordered)):
-                    answers[key] = answer
-                    if not isinstance(answer, BackendError):
-                        request = missing[key]
-                        cache.put({"key": key, "role": request.role.value, "session_id": request.session_id,
-                                   "segment_index": request.segment_index, "prompt_hash": request.prompt_hash,
-                                   "backend_id": backend.backend_id, "text": answer})
-        finally:
-            cache.flush()  # closes the journal, also when a kill or a bug raises past call
-    return [(key, answers[key]) for key in keys]
+            text = backend.complete(request).text.strip()
+        except BackendError as exc:
+            return exc
+        return _unusable(request, text) or text
+
+    pool = None if backend.in_process else ThreadPoolExecutor(max_workers=concurrency)
+    window_size = 1 if pool is None else 2 * concurrency
+    window: deque[tuple[T, str, BackendRequest | None, str | BackendError | Future]] = deque()
+    sent: dict[str, BackendError | Future] = {}  # this call's requests still in flight, or failed
+    planned = iter(planned)
+    try:
+        while True:
+            for item, request in islice(planned, window_size - len(window)):
+                key = cache_key(backend.backend_id, request)
+                answer = cache.get(key)
+                if answer is None or _unusable(request, answer):  # a torn transcript journaled by older code
+                    answer = sent.get(key)
+                owner = None
+                if answer is None:
+                    owner = request
+                    answer = sent[key] = call(request) if pool is None else pool.submit(call, request)
+                window.append((item, key, owner, answer))
+            if not window:
+                return
+            item, key, owner, answer = window.popleft()
+            if isinstance(answer, Future):
+                answer = answer.result()
+            if owner is not None:  # the first of this key's items journals its answer
+                if isinstance(answer, BackendError):
+                    sent[key] = answer
+                else:
+                    del sent[key]
+                    cache.put({"key": key, "role": owner.role.value, "session_id": owner.session_id,
+                               "segment_index": owner.segment_index, "prompt_hash": owner.prompt_hash,
+                               "backend_id": backend.backend_id, "text": answer})
+            yield item, key, answer
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        cache.flush()  # closes the journal, also when a kill or a bug raises past call or the consumer
 
 
 def build_backend(cfg: RunConfig) -> Backend:
@@ -295,8 +344,9 @@ def plan_units(
     taxonomy: ActivityTaxonomy,
     templates: dict[str, str] | None,
     params: GenerationParams,
-) -> list[PlannedUnit]:
-    """Every task request of one session, by mode, chunk length, task, window.
+) -> Iterator[PlannedUnit]:
+    """Every task request of one session, by mode, chunk length, task, window,
+    planned one at a time as they are read.
 
     Zero-shot asks the captioner about each segment directly; the other modes
     ask the reasoner about the extracted evidence. Segments without a caption
@@ -305,7 +355,6 @@ def plan_units(
     segment past the last transcript chunk, or in a session too short for any
     chunk, gets an empty transcript.
     """
-    units = []
     for mode in modes:
         for chunk_len in _chunk_options(mode, chunk_lens):
             windows = _evidence_windows(mode, segments, captions, chunks.get(chunk_len))
@@ -321,8 +370,7 @@ def plan_units(
                             prompt=build_task_prompt(mode, task, caption, transcript, taxonomy, templates),
                             segment_index=window.index, params=params,
                         )
-                    units.append(PlannedUnit(task, mode, chunk_len, window, request, caption, transcript))
-    return units
+                    yield PlannedUnit(task, mode, chunk_len, window, request, caption, transcript)
 
 
 def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
@@ -360,51 +408,44 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
 
     # phase 1: modality content extraction; each phase covers every session,
     # so a live endpoint does not idle at session boundaries
-    extraction = [
-        request for m in manifests for request in plan_extraction(m, segments[m.session_id], cfg.modes, params)
-    ]
-    for request, (_, answer) in zip(extraction, _fetch(backend, cache, cfg.concurrency, extraction)):
-        sid = request.session_id
-        all_segments = range(len(segments[sid]))
-        if isinstance(answer, BackendError):
-            failed = all_segments if request.segment_index is None else [request.segment_index]
-            record_failure(request, answer, failed)
-        elif request.role is Role.CAPTIONER:
-            captions[sid][request.segment_index] = answer
-        else:
-            try:
+    extraction = ((request, request) for m in manifests
+                  for request in plan_extraction(m, segments[m.session_id], cfg.modes, params))
+    with closing(_fetch(backend, cache, cfg.concurrency, extraction)) as extracted:
+        for request, _, answer in extracted:
+            sid = request.session_id
+            if isinstance(answer, BackendError):
+                failed = range(len(segments[sid])) if request.segment_index is None else [request.segment_index]
+                record_failure(request, answer, failed)
+            elif request.role is Role.CAPTIONER:
+                captions[sid][request.segment_index] = answer
+            else:
                 chunks[sid] = transcript_chunks(by_id[sid], parse_utterances_json(answer), cfg.chunk_lens)
-            except BackendError as exc:
-                record_failure(request, exc, all_segments)
 
-    # phase 2: task prompts per mode, every session at once
-    units = [
-        unit
-        for m in manifests
-        for unit in plan_units(m, segments[m.session_id], captions[m.session_id], chunks[m.session_id],
-                               cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, params)
-    ]
-    answers = _fetch(backend, cache, cfg.concurrency, [unit.request for unit in units])
+    # phase 2: task prompts per mode, every session, planned as they are sent
+    units = ((unit, unit.request) for m in manifests
+             for unit in plan_units(m, segments[m.session_id], captions[m.session_id], chunks[m.session_id],
+                                    cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, params))
     predictions: list[aggregation.SegmentPrediction] = []
-    for unit, (key, answer) in zip(units, answers):
-        window, sid = unit.window, unit.request.session_id
-        if isinstance(answer, BackendError):
-            overlapping = (s.index for s in segments[sid] if s.start_s < window.end_s and s.end_s > window.start_s)
-            record_failure(unit.request, answer, overlapping)
-            continue
-        predictions.append(
-            aggregation.SegmentPrediction(
-                session_id=sid,
-                task=unit.task,
-                mode=unit.mode,
-                unit_index=window.index,
-                start_s=window.start_s,
-                end_s=window.end_s,
-                label=parse_label(answer, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(answer),
-                chunk_len_s=unit.chunk_len_s,
-                cache_key=key,
+    with closing(_fetch(backend, cache, cfg.concurrency, units)) as answered:
+        for unit, key, answer in answered:
+            window, sid = unit.window, unit.request.session_id
+            if isinstance(answer, BackendError):
+                overlapping = (s.index for s in segments[sid] if s.start_s < window.end_s and s.end_s > window.start_s)
+                record_failure(unit.request, answer, overlapping)
+                continue
+            predictions.append(
+                aggregation.SegmentPrediction(
+                    session_id=sid,
+                    task=unit.task,
+                    mode=unit.mode,
+                    unit_index=window.index,
+                    start_s=window.start_s,
+                    end_s=window.end_s,
+                    label=parse_label(answer, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(answer),
+                    chunk_len_s=unit.chunk_len_s,
+                    cache_key=key,
+                )
             )
-        )
 
     run_info = {
         "backend_id": backend.backend_id,

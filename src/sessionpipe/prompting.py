@@ -165,7 +165,7 @@ def build_task_prompt(
     templates = templates if templates is not None else DEFAULT_TEMPLATES
     template = templates[template_key(task, mode)]
     return template.format(
-        labels="\n".join(f"- {label}" for label in taxonomy.labels),
+        labels=taxonomy.labels_block,
         caption="" if caption is None else caption,
         transcript="" if transcript is None else transcript,
         rubric=RUBRICS.get(task, ""),

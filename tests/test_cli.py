@@ -75,6 +75,18 @@ def test_run_refuses_an_older_cache_layout(runner, sim_tree, tmp_path):
     assert not (tmp_path / "report" / "report.json").exists()
 
 
+def test_run_names_a_damaged_journal_line(runner, sim_tree, tmp_path):
+    args = _run_args(sim_tree, tmp_path)
+    assert runner.invoke(main, args).exit_code == 0
+    journal = tmp_path / "report" / "cache" / "responses.jsonl"
+    lines = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(b"".join([*lines[:2], b'{"key": "k", "te\n', *lines[3:]]))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"{journal}: line 3 is not a JSON object with a string key and text" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):
     args = _holey_run_args(sim_tree, tmp_path)
     result = runner.invoke(main, args)

@@ -172,14 +172,11 @@ def test_raised_faults_are_counted_and_a_rerun_repairs_them(ref, data):
         assert report["invalid_sessions"] == _invalid_oracle(ref, [*faulty.raised, *torn_sent], threshold)
 
         answered = len(_lines(_journal(cfg)))
-        assert answered == len(faulty.sent) - len(faulty.raised)
+        assert answered == len(faulty.sent) - len(faulty.raised) - len(torn_sent)  # a torn transcript is a failure
         rerun = MockBackend(ref.store)
-        report = run(cfg, backend=rerun)
-        if torn_sent:  # a torn transcript is an answer: journaled, and it fails again
-            assert [_error_class(f) for f in report["failures"]] == [TORN_ERROR] * len(torn_sent)
-        else:
-            assert rerun.call_count == ref.total - answered
-            assert _outputs(cfg) == ref.outputs[threshold]
+        run(cfg, backend=rerun)
+        assert rerun.call_count == ref.total - answered
+        assert _outputs(cfg) == ref.outputs[threshold]
 
 
 @given(data=st.data())
@@ -199,6 +196,25 @@ def test_torn_tail_is_cut_and_fetched_again(ref, data):
         assert [json.loads(line) for line in journal.splitlines()] == [
             json.loads(line) for line in ref.journal.splitlines()]
         assert _outputs(cfg) == ref.outputs[0.1]
+
+
+def test_a_journaled_torn_transcript_is_fetched_again(ref, tmp_path):
+    # earlier versions journaled a transcript that does not parse; the rerun
+    # asks for it again and the new line wins
+    key = ref.transcripts[0]
+    torn = json.dumps({**ref.records[key], "text": FaultyBackend.TORN_TRANSCRIPT}, sort_keys=True).encode() + b"\n"
+    lines = [torn if json.loads(line)["key"] == key else line for line in ref.journal.splitlines(keepends=True)]
+    cfg = _config(ref.sim, tmp_path / "report")
+    cfg.cache_dir.mkdir(parents=True)
+    _journal(cfg).write_bytes(b"".join(lines))
+    backend = MockBackend(ref.store)
+    run(cfg, backend=backend)
+    assert backend.call_count == 1
+    assert _outputs(cfg) == ref.outputs[0.1]
+    assert _lines(_journal(cfg)) == [*lines, json.dumps(ref.records[key], sort_keys=True).encode() + b"\n"]
+    again = MockBackend(ref.store)
+    run(cfg, backend=again)
+    assert again.call_count == 0
 
 
 def test_old_role_files_appended_to_the_journal_make_a_warm_cache(ref, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from sessionpipe.backends import (
     HttpChatBackend,
     MockBackend,
     Role,
+    TransportError,
     read_jsonl,
 )
 from sessionpipe.corpus import TaskKind
@@ -25,6 +27,8 @@ from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions,
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
+
+from .faults import Killed
 
 ALL_MODES = tuple(RefinementMode)
 
@@ -167,19 +171,30 @@ class TestExecution:
         assert calls == []
         assert state() == before  # same bytes, and the journal neither rewritten nor touched
 
-    def test_key_planned_twice_is_sent_once(self, tmp_path):
+    @pytest.mark.parametrize("concurrency", [None, 1, 25])  # None: inline; 25: all 50 units in the window at once
+    def test_key_planned_twice_is_sent_once(self, tmp_path, concurrency):
         # with every utterance dropped, the 16 s and 64 s chunks at one index
-        # are both empty, so their prompts and cache keys are the same
+        # are both empty, so their prompts and cache keys are the same; on the
+        # pool, the requests of chunk 0 fail
         modes, lens = (RefinementMode.TRANSCRIPT_ONLY,), (16, 64)
         sim = SimConfig(seed=0, n_sessions=1, duration_s=128.0, noise=NoiseSpec(transcript_drop_p=1.0))
         out = generate_corpus(sim, tmp_path / "sim", modes=modes, chunk_lens=lens)
         backend = MockBackend(out.fixtures_path)
-        cfg = make_config(out, tmp_path, modes=modes, chunk_lens=lens)
-        run(cfg, backend=backend)
+        if concurrency is not None:
+            backend = Remote(backend, fail=lambda request: request.segment_index == 0)
+        cfg = make_config(out, tmp_path, modes=modes, chunk_lens=lens, concurrency=concurrency or 1)
+        report = run(cfg, backend=backend)
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
-        assert len(preds) == 5 * (8 + 2)
-        assert len({p.cache_key for p in preds}) == 5 * 8
-        assert backend.call_count == 5 * 8 + 1  # the unit keys, plus the transcript
+        if concurrency is None:
+            assert backend.call_count == 5 * 8 + 1  # the unit keys, plus the transcript
+            assert len(preds) == 5 * (8 + 2)
+            assert len({p.cache_key for p in preds}) == 5 * 8
+        else:
+            assert len(backend.sent) == len(set(backend.sent)) == 5 * 8 + 1
+            # the 16 s and 64 s chunk 0 of each task share a key: both units fail
+            failed = Counter((f["role"], f["segment_index"], f["prompt_hash"]) for f in report["failures"])
+            assert sorted(failed.values()) == [2] * 5 and {index for _, index, _ in failed} == {0}
+            assert len(preds) == 5 * (8 + 2) - 2 * 5
 
     def test_missing_fixtures_fail_at_build_time(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path, fixtures_path=tmp_path / "absent.jsonl")
@@ -194,41 +209,82 @@ class TestExecution:
         report = run(make_config(sim_out, tmp_path))
         assert report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_segmentation"] == 1.0
 
-    def test_io_backend_runs_on_pool_bounded_by_concurrency(self, sim_out, tmp_path, monkeypatch):
-        class Remote(Backend):
-            def __init__(self, inner):
-                self.backend_id = inner.backend_id
-                self._inner = inner
-                self._lock = threading.Lock()
-                self.in_flight = self.peak = 0
-                self.threads = set()
-
-            def complete(self, request):
-                with self._lock:
-                    self.in_flight += 1
-                    self.peak = max(self.peak, self.in_flight)
-                    self.threads.add(threading.get_ident())
-                try:
-                    return self._inner.complete(request)
-                finally:
-                    with self._lock:
-                        self.in_flight -= 1
-
-        pools = []
-        real_pool = orchestrator.ThreadPoolExecutor
-        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor",
-                            lambda max_workers: pools.append(max_workers) or real_pool(max_workers))
+    def test_io_backend_runs_on_pool_bounded_by_concurrency(self, sim_out, tmp_path):
+        remote = Remote(MockBackend(sim_out.fixtures_path))
         inline_cfg = make_config(sim_out, tmp_path / "inline")
         run(inline_cfg)
-        assert pools == []
-        remote = Remote(MockBackend(sim_out.fixtures_path))
         pool_cfg = make_config(sim_out, tmp_path / "pool", concurrency=3)
         run(pool_cfg, backend=remote)
-        assert pools == [3, 3]  # extraction, then reasoning
         assert remote.peak <= 3
         assert threading.get_ident() not in remote.threads
         assert (pool_cfg.report_dir / "predictions.jsonl").read_bytes() == (
             inline_cfg.report_dir / "predictions.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_units_are_planned_only_as_the_window_frees(self, sim_out, tmp_path, monkeypatch, pooled):
+        planned, parsed, gaps = [0], [0], []
+        plan_units = orchestrator.plan_units
+
+        def counted_plan(*args):
+            for unit in plan_units(*args):
+                planned[0] += 1
+                gaps.append(planned[0] - parsed[0])  # units planned but not yet consumed
+                yield unit
+
+        def counted(parse):
+            return lambda *args: parsed.__setitem__(0, parsed[0] + 1) or parse(*args)
+
+        monkeypatch.setattr(orchestrator, "plan_units", counted_plan)
+        monkeypatch.setattr(orchestrator, "parse_label", counted(orchestrator.parse_label))
+        monkeypatch.setattr(orchestrator, "parse_binary", counted(orchestrator.parse_binary))
+        backend = MockBackend(sim_out.fixtures_path)
+        run(make_config(sim_out, tmp_path, concurrency=3), backend=Remote(backend) if pooled else backend)
+        assert planned[0] == parsed[0] == 6 * 20 * 5
+        assert max(gaps) == (2 * 3 if pooled else 1)
+
+    def test_a_raise_in_a_pool_worker_cancels_the_queued_requests(self, tmp_path):
+        sim = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=320.0), tmp_path / "sim", chunk_lens=(16,))
+        remote = Remote(MockBackend(sim.fixtures_path), kill_at=50)
+        cfg = make_config(sim, tmp_path, modes=ALL_MODES, concurrency=2)
+        with pytest.raises(Killed):
+            run(cfg, backend=remote)
+        assert 50 <= len(remote.sent) <= 50 + 2 * 2  # of the run's 421 requests
+        assert len((cfg.cache_dir / "responses.jsonl").read_bytes().splitlines()) < 50
+
+
+class Remote(Backend):
+    """A backend that is not in process, so the run sends its requests from a pool.
+
+    ``kill_at`` = N raises ``Killed`` on the N-th call; ``fail`` says which
+    requests fail with a ``TransportError``.
+    """
+
+    def __init__(self, inner, kill_at=None, fail=lambda request: False):
+        self.backend_id = inner.backend_id
+        self._inner = inner
+        self._kill_at = kill_at
+        self._fail = fail
+        self._lock = threading.Lock()
+        self.in_flight = self.peak = 0
+        self.threads = set()
+        self.sent = []
+
+    def complete(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.threads.add(threading.get_ident())
+            self.sent.append(orchestrator.cache_key(self.backend_id, request))
+            calls = len(self.sent)
+        try:
+            if calls == self._kill_at:
+                raise Killed
+            if self._fail(request):
+                raise TransportError("injected")
+            return self._inner.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
 
 
 def _record(key, role="reasoner", text="ok"):
@@ -268,6 +324,20 @@ class TestResponseCacheJournal:
         cache.put(_record("k1", text="second"))
         cache.flush()
         assert journal.read_bytes() == whole
+
+    @pytest.mark.parametrize("damage", [b"{not json", b"[]", b'"text"', b'{"key": "k"}', b'{"key": "k", "text": 1}',
+                                        b"", b"\xff"])
+    def test_a_damaged_line_stops_the_run_and_is_named(self, sim_out, tmp_path, damage):
+        cfg = make_config(sim_out, tmp_path)
+        run(cfg)
+        journal = cfg.cache_dir / "responses.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        journal.write_bytes(b"".join([*lines[:2], damage + b"\n", *lines[3:]]))
+        backend = MockBackend(sim_out.fixtures_path)
+        with pytest.raises(orchestrator.DamagedJournalError,
+                           match=rf"^{journal}: line 3 is not a JSON object with a string key and text"):
+            run(cfg, backend=backend)
+        assert backend.call_count == 0
 
     def test_other_jsonl_files_in_the_cache_dir_are_refused(self, tmp_path):
         (tmp_path / "captions.jsonl").write_text("")
