@@ -8,6 +8,7 @@ deterministic mock that replays fixture files. Fixture lookups are keyed by
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
 import os
@@ -15,6 +16,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from datetime import timezone
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
@@ -39,7 +41,12 @@ class BackendTimeoutError(BackendError):
 
 
 class TransportError(BackendError):
-    pass
+    """A failed exchange worth retrying; ``retry_after_s`` is the wait the server
+    asked for in a ``Retry-After`` header, if it sent a valid one."""
+
+    def __init__(self, message: str, retry_after_s: float | None = None):
+        super().__init__(message)
+        self.retry_after_s = retry_after_s
 
 
 class MalformedResponseError(BackendError):
@@ -56,6 +63,11 @@ class UnparseableTimestampsError(BackendError):
 
 class FixtureMissError(BackendError):
     pass
+
+
+class EndpointError(BackendError):
+    """No request can be sent to the endpoint URL (no scheme, no host, or a scheme
+    no transport serves); raised when the HTTP backend is built."""
 
 
 class BackendExhaustedError(BackendError):
@@ -111,6 +123,10 @@ class BackendResponse:
             raise ValueError("attempt count starts at 1")
 
 
+# one encoder for every sorted-key JSONL line: ``json.dumps(..., sort_keys=True)`` builds one per call
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
 def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
     """The records of a JSONL file, one per non-blank line."""
     with open(path, encoding="utf-8") as fh:
@@ -127,7 +143,7 @@ def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(SORTED_JSON.encode(record) + "\n")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -230,6 +246,24 @@ class HttpBackendConfig:
     backoff_s: float = 0.25
 
 
+def parse_retry_after(value: str | None, now: float) -> float | None:
+    """The wait a ``Retry-After`` value asks for, in seconds from ``now`` (epoch
+    seconds): delay-seconds or an HTTP-date (RFC 9110 §10.2.3), never negative.
+    None when the value is absent or malformed."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError):
+        return None
+    if when.tzinfo is None:  # "-0000": a date in UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, when.timestamp() - now)
+
+
 class HttpChatBackend(Backend):
     """Chat-completions client for locally served models.
 
@@ -237,14 +271,37 @@ class HttpChatBackend(Backend):
     user message. Session/segment/media context rides in a ``metadata`` object
     that standard servers ignore and fixture-replay servers key on. Timeouts,
     connection errors, 408, 429 and 5xx answers retry with exponential backoff
-    up to max_retries; any other 4xx fails at once. Each calling
-    thread gets its own ``requests.Session``, made on its first request.
+    up to max_retries; a 429 or 503 with a valid ``Retry-After`` waits that long
+    instead, capped at the longest backoff. Any other 4xx fails at once.
+
+    The URL, headers, ``.netrc`` auth, proxies and CA bundle are resolved once,
+    here: each request copies one prepared template and sends it with the same
+    settings. An explicit ``api_key`` wins over ``.netrc``. Each calling thread
+    gets its own ``requests.Session``, made on its first request.
     """
 
     def __init__(self, config: HttpBackendConfig, backend_id: str | None = None):
         self.config = config
         self.backend_id = backend_id if backend_id is not None else f"http:{config.model}"
         self._local = threading.local()
+        url = f"{config.base_url.rstrip('/')}/v1/chat/completions"
+        with requests.Session() as session:
+            try:
+                # default headers, plus .netrc auth when the environment has an entry for the host
+                self._template = session.prepare_request(
+                    requests.Request("POST", url, headers={"Content-Type": "application/json"})
+                )
+                session.get_adapter(url)  # raises for a scheme no transport serves ("localhost:8000")
+            except requests.RequestException as exc:
+                raise EndpointError(str(exc)) from None
+            # what Session.request derives from the environment on every call
+            self._send_kwargs = {
+                "timeout": config.timeout_s,
+                "allow_redirects": True,
+                **session.merge_environment_settings(url, {}, None, None, None),
+            }
+        if config.api_key:
+            self._template.headers["Authorization"] = f"Bearer {config.api_key}"
 
     def _session(self) -> requests.Session:
         session = getattr(self._local, "session", None)
@@ -252,7 +309,7 @@ class HttpChatBackend(Backend):
             session = self._local.session = requests.Session()
         return session
 
-    def _body(self, request: BackendRequest) -> dict:
+    def _body(self, request: BackendRequest) -> bytes:
         body: dict[str, Any] = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": request.prompt}],
@@ -272,19 +329,17 @@ class HttpChatBackend(Backend):
         }
         if request.params.seed is not None:
             body["seed"] = request.params.seed
-        return body
+        # the bytes requests sends for json=body
+        return json.dumps(body, allow_nan=False).encode("utf-8")
 
-    def _post_once(self, body: dict) -> str:
-        headers = {}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
+    def _post_once(self, body: bytes) -> str:
+        session = self._session()
+        prepared = self._template.copy()
+        prepared.body = body
+        prepared.headers["Content-Length"] = str(len(body))
+        prepared.prepare_cookies(session.cookies)  # any the server set on this thread's session
         try:
-            resp = self._session().post(
-                f"{self.config.base_url.rstrip('/')}/v1/chat/completions",
-                json=body,
-                headers=headers,
-                timeout=self.config.timeout_s,
-            )
+            resp = session.send(prepared, **self._send_kwargs)
         except requests.Timeout as exc:
             raise BackendTimeoutError(str(exc)) from exc
         except requests.RequestException as exc:
@@ -293,7 +348,10 @@ class HttpChatBackend(Backend):
             message = f"HTTP {resp.status_code}: {resp.text[:200]}"
             if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
                 raise RequestRejectedError(message)
-            raise TransportError(message)
+            wait = None
+            if resp.status_code in (429, 503):
+                wait = parse_retry_after(resp.headers.get("Retry-After"), time.time())
+            raise TransportError(message, retry_after_s=wait)
         try:
             content = resp.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
@@ -301,6 +359,12 @@ class HttpChatBackend(Backend):
         if not isinstance(content, str):  # also null content, sent for refusals and tool calls
             raise MalformedResponseError(f"unexpected response body: {resp.text[:200]}")
         return content
+
+    def _backoff_s(self, attempt: int, error: BackendError) -> float:
+        longest = self.config.backoff_s * 2 ** (self.config.max_retries - 1)
+        if isinstance(error, TransportError) and error.retry_after_s is not None:
+            return min(error.retry_after_s, longest)
+        return self.config.backoff_s * 2 ** (attempt - 1)
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         body = self._body(request)
@@ -313,7 +377,7 @@ class HttpChatBackend(Backend):
             except (BackendTimeoutError, TransportError) as exc:
                 last_error = exc
                 if attempt <= self.config.max_retries:
-                    time.sleep(self.config.backoff_s * 2 ** (attempt - 1))
+                    time.sleep(self._backoff_s(attempt, exc))
                 continue
             latency_ms = (time.perf_counter() - started) * 1000.0
             return BackendResponse(

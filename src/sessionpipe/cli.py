@@ -9,6 +9,7 @@ from pathlib import Path
 import click
 
 from . import orchestrator, simulator, windowing
+from .backends import EndpointError
 from .corpus import TaskKind, load_corpus, load_taxonomy
 from .prompting import RefinementMode
 
@@ -120,6 +121,8 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
     except orchestrator.DamagedJournalError as exc:
         click.echo(f"Error: {exc}", err=True)
         sys.exit(2)
+    except EndpointError as exc:
+        raise click.BadParameter(str(exc), param_hint="--endpoint") from None
     click.echo(f"report written to {report_dir}")
     if report["invalid_sessions"]:
         click.echo(f"invalid sessions: {', '.join(report['invalid_sessions'])}", err=True)

@@ -30,6 +30,7 @@ from .backends import (
     HttpBackendConfig,
     HttpChatBackend,
     MockBackend,
+    SORTED_JSON,
     Role,
     parse_utterances_json,
     read_jsonl,
@@ -150,7 +151,7 @@ class ResponseCache:
         return self._texts.get(key)
 
     def put(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"  # raises before anything is appended
+        line = SORTED_JSON.encode(record) + "\n"  # raises before anything is appended
         if self._journal is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._journal = open(self._path, "a", encoding="utf-8", buffering=1)  # each line reaches the OS

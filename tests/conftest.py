@@ -1,3 +1,8 @@
+import json
+import threading
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from sessionpipe.corpus import (
@@ -48,3 +53,66 @@ def naturalistic_manifest():
         audio_ref="file:///nat-001.wav",
         ground_truth=GroundTruth(session_activities=frozenset({"toy play"})),
     )
+
+
+CHAT_OK = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+
+
+@dataclass(frozen=True)
+class RecordedRequest:
+    method: str
+    path: str  # the absolute URL when the request came through as a proxy
+    headers: dict[str, str]
+    body: bytes
+
+
+class StubServer:
+    """A threaded HTTP server that records each request and answers each with one
+    scripted status, headers and body."""
+
+    def __init__(self, status: int, headers: dict[str, str], body: bytes):
+        self.requests: list[RecordedRequest] = []
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def do_POST(self):
+                received = self.rfile.read(int(self.headers.get("Content-Length", "0")))
+                stub.requests.append(RecordedRequest(self.command, self.path, dict(self.headers.items()), received))
+                self.send_response(status)
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.05,), daemon=True)
+        self._thread.start()
+
+    @property
+    def base_url(self) -> str:
+        host, port = self._server.server_address[:2]
+        return f"http://{host}:{port}"
+
+    def stop(self) -> None:
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=5)
+
+
+@pytest.fixture
+def stub_server():
+    """Start recording stubs: ``stub_server(status=200, headers={}, body=CHAT_OK)``
+    returns a running ``StubServer``; every one started stops at teardown."""
+    servers: list[StubServer] = []
+
+    def start(status: int = 200, headers: dict[str, str] | None = None, body: bytes = CHAT_OK) -> StubServer:
+        servers.append(StubServer(status, headers or {}, body))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()

@@ -2,9 +2,11 @@ import json
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 
 import pytest
+import requests
 
 from sessionpipe.backends import (
     BackendExhaustedError,
@@ -191,38 +193,13 @@ class TestHttpBackend:
             backend.complete(request)
         assert err.value.attempts == 3
 
-    def test_malformed_response_not_retried(self):
-        calls = []
-
-        class Garbage(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                calls.append(1)
-                body = b'{"nonsense": true}'
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Garbage)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            config = HttpBackendConfig(
-                base_url=f"http://127.0.0.1:{server.server_address[1]}",
-                max_retries=2,
-                backoff_s=0.01,
-            )
-            backend = HttpChatBackend(config)
-            request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
-            with pytest.raises(MalformedResponseError):
-                backend.complete(request)
-            assert len(calls) == 1
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_malformed_response_not_retried(self, stub_server):
+        server = stub_server(body=b'{"nonsense": true}')
+        config = HttpBackendConfig(base_url=server.base_url, max_retries=2, backoff_s=0.01)
+        request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
+        with pytest.raises(MalformedResponseError):
+            HttpChatBackend(config).complete(request)
+        assert len(server.requests) == 1
 
     def test_stub_server_replays_fixtures(self, caption_store):
         with FixtureChatServer(caption_store) as server:
@@ -255,34 +232,14 @@ class TestHttpBackend:
         assert len(lookups) == 1  # a permanent error is not retried
 
     @pytest.mark.parametrize("status,posts", [(400, 1), (401, 1), (408, 3), (429, 3), (500, 3), (503, 3)])
-    def test_only_transient_statuses_retried(self, status, posts):
-        calls = []
-
-        class Status(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
-
-            def do_POST(self):
-                calls.append(1)
-                self.rfile.read(int(self.headers.get("Content-Length", "0")))
-                self.send_response(status)
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Status)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            config = HttpBackendConfig(
-                base_url=f"http://127.0.0.1:{server.server_address[1]}", max_retries=2, backoff_s=0.01
-            )
-            request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
-            expected = RequestRejectedError if posts == 1 else BackendExhaustedError
-            with pytest.raises(expected, match=f"HTTP {status}"):
-                HttpChatBackend(config).complete(request)
-            assert len(calls) == posts
-        finally:
-            server.shutdown()
-            server.server_close()
+    def test_only_transient_statuses_retried(self, stub_server, status, posts):
+        server = stub_server(status=status, body=b"")
+        config = HttpBackendConfig(base_url=server.base_url, max_retries=2, backoff_s=0.01)
+        request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
+        expected = RequestRejectedError if posts == 1 else BackendExhaustedError
+        with pytest.raises(expected, match=f"HTTP {status}"):
+            HttpChatBackend(config).complete(request)
+        assert len(server.requests) == posts
 
     def test_one_session_per_thread(self, caption_store):
         with FixtureChatServer(caption_store) as server:
@@ -304,37 +261,153 @@ class TestHttpBackend:
                 sessions = list(pool.map(sessions_seen, range(3)))
         assert len({id(s) for s in sessions}) == 3
 
-    def test_description_prompt_forwarded_verbatim(self, caption_store):
-        captured = {}
+    def test_description_prompt_forwarded_verbatim(self, stub_server):
+        from sessionpipe.prompting import DESCRIPTION_PROMPT
 
-        class Echo(BaseHTTPRequestHandler):
-            def log_message(self, *args):
-                pass
+        server = stub_server()
+        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url))
+        request = BackendRequest(
+            role=Role.CAPTIONER, session_id="s1", prompt=DESCRIPTION_PROMPT, segment_index=0, media_ref="v"
+        )
+        backend.complete(request)
+        body = json.loads(server.requests[0].body)
+        assert body["messages"] == [{"role": "user", "content": DESCRIPTION_PROMPT}]
+        assert body["metadata"]["session_id"] == "s1"
 
-            def do_POST(self):
-                length = int(self.headers.get("Content-Length", "0"))
-                captured["body"] = json.loads(self.rfile.read(length))
-                body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
-                self.send_response(200)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
 
-        server = ThreadingHTTPServer(("127.0.0.1", 0), Echo)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
-            from sessionpipe.prompting import DESCRIPTION_PROMPT
+PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
-            backend = HttpChatBackend(
-                HttpBackendConfig(base_url=f"http://127.0.0.1:{server.server_address[1]}")
-            )
-            prompt = DESCRIPTION_PROMPT
-            request = BackendRequest(
-                role=Role.CAPTIONER, session_id="s1", prompt=prompt, segment_index=0, media_ref="v"
-            )
-            backend.complete(request)
-            assert captured["body"]["messages"] == [{"role": "user", "content": prompt}]
-            assert captured["body"]["metadata"]["session_id"] == "s1"
-        finally:
-            server.shutdown()
-            server.server_close()
+
+@pytest.fixture
+def clean_env(monkeypatch, tmp_path):
+    """No proxy variables and an empty ``.netrc``, whatever the host sets."""
+    for name in PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    netrc = tmp_path / "netrc"
+    netrc.write_text("")
+    monkeypatch.setenv("NETRC", str(netrc))
+    return netrc
+
+
+class TestHttpRequestPath:
+    def test_wire_request(self, stub_server, clean_env):
+        server = stub_server()
+        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url + "/", model="m", api_key="sk-test"))
+        request = BackendRequest(
+            role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v",
+            frame_timestamps_s=(0.0, 1.5), params=GenerationParams(temperature=0.3, seed=7),
+        )
+        assert backend.complete(request).text == "ok"
+        [sent] = server.requests
+        body = (
+            b'{"model": "m", "messages": [{"role": "user", "content": "describe"}], "temperature": 0.3, '
+            b'"max_tokens": 256, "metadata": {"role": "captioner", "session_id": "s1", "segment_index": 3, '
+            b'"media_ref": "v", "frame_timestamps_s": [0.0, 1.5]}, "seed": 7}'
+        )
+        assert (sent.method, sent.path, sent.body) == ("POST", "/v1/chat/completions", body)
+        assert set(sent.headers.items()) == {
+            ("Host", server.base_url.removeprefix("http://")),
+            ("User-Agent", f"python-requests/{requests.__version__}"),
+            ("Accept-Encoding", requests.utils.DEFAULT_ACCEPT_ENCODING),
+            ("Accept", "*/*"),
+            ("Connection", "keep-alive"),
+            ("Content-Type", "application/json"),
+            ("Authorization", "Bearer sk-test"),
+            ("Content-Length", str(len(body))),
+        }
+
+    @pytest.mark.parametrize("api_key,authorization", [
+        ("sk-test", "Bearer sk-test"),  # the explicit key wins over .netrc
+        (None, "Basic YWxpY2U6c2VjcmV0"),  # alice:secret from .netrc
+    ])
+    def test_api_key_wins_over_netrc(self, stub_server, clean_env, api_key, authorization):
+        clean_env.write_text("machine 127.0.0.1 login alice password secret\n")
+        server = stub_server()
+        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url, api_key=api_key))
+        backend.complete(BackendRequest(role=Role.REASONER, session_id="s", prompt="p"))
+        assert server.requests[0].headers["Authorization"] == authorization
+
+    def test_environment_is_read_once_per_backend(self, stub_server, clean_env, monkeypatch):
+        calls = {"netrc": 0, "proxies": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        sessions = requests.sessions
+        monkeypatch.setattr(sessions, "get_netrc_auth", counted("netrc", sessions.get_netrc_auth))
+        monkeypatch.setattr(sessions, "get_environ_proxies", counted("proxies", sessions.get_environ_proxies))
+        monkeypatch.setattr(sessions, "resolve_proxies", counted("proxies", sessions.resolve_proxies))
+        server = stub_server()
+        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url, api_key="sk-test"))
+        request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            texts = list(pool.map(lambda _: backend.complete(request).text, range(50)))
+        assert texts == ["ok"] * 50 and len(server.requests) == 50
+        assert calls == {"netrc": 1, "proxies": 1}
+
+    @pytest.mark.parametrize("no_proxy", [None, "127.0.0.1"])
+    def test_proxy_settings_are_read_when_built(self, stub_server, clean_env, monkeypatch, no_proxy):
+        endpoint, proxy = stub_server(), stub_server()
+        monkeypatch.setenv("HTTP_PROXY", proxy.base_url)
+        if no_proxy is not None:
+            monkeypatch.setenv("NO_PROXY", no_proxy)
+        backend = HttpChatBackend(HttpBackendConfig(base_url=endpoint.base_url))
+        monkeypatch.delenv("HTTP_PROXY")
+        monkeypatch.delenv("NO_PROXY", raising=False)
+        backend.complete(BackendRequest(role=Role.REASONER, session_id="s", prompt="p"))
+        if no_proxy is None:  # through the proxy, which sees the absolute URL
+            assert [r.path for r in proxy.requests] == [f"{endpoint.base_url}/v1/chat/completions"]
+            assert endpoint.requests == []
+        else:
+            assert [r.path for r in endpoint.requests] == ["/v1/chat/completions"]
+            assert proxy.requests == []
+
+
+def _http_date(delta_s: float) -> str:
+    return format_datetime(datetime.now(timezone.utc) + timedelta(seconds=delta_s), usegmt=True)
+
+
+class TestRetryAfter:
+    # backoff_s=1 and max_retries=3: exponential waits 1, 2, 4 s; the longest, 4 s, caps Retry-After
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize("value,waits", [
+        ("2", [2.0, 2.0, 2.0]),  # below the cap
+        ("0", [0.0, 0.0, 0.0]),
+        ("30", [4.0, 4.0, 4.0]),  # above it
+        (_http_date(-60), [0.0, 0.0, 0.0]),  # a date passed: no negative wait
+        ("soon", [1.0, 2.0, 4.0]),  # malformed: exponential backoff
+        ("-3", [1.0, 2.0, 4.0]),
+        ("1.5", [1.0, 2.0, 4.0]),
+    ], ids=["below-cap", "zero", "above-cap", "past-date", "malformed", "negative", "fraction"])
+    def test_retry_after_is_honoured_and_capped(self, stub_server, monkeypatch, status, value, waits):
+        slept = []
+        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        server = stub_server(status=status, headers={"Retry-After": value}, body=b"")
+        config = HttpBackendConfig(base_url=server.base_url, max_retries=3, backoff_s=1.0)
+        with pytest.raises(BackendExhaustedError):
+            HttpChatBackend(config).complete(BackendRequest(role=Role.REASONER, session_id="s", prompt="p"))
+        assert len(server.requests) == 4
+        assert slept == waits
+
+    def test_http_date(self, stub_server, monkeypatch):
+        slept = []
+        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        server = stub_server(status=503, headers={"Retry-After": _http_date(3)}, body=b"")
+        config = HttpBackendConfig(base_url=server.base_url, max_retries=1, backoff_s=4.0)
+        with pytest.raises(BackendExhaustedError):
+            HttpChatBackend(config).complete(BackendRequest(role=Role.REASONER, session_id="s", prompt="p"))
+        [wait] = slept
+        assert 1.0 < wait <= 3.0  # the date has whole seconds
+
+    def test_other_statuses_ignore_retry_after(self, stub_server, monkeypatch):
+        slept = []
+        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        server = stub_server(status=500, headers={"Retry-After": "3"}, body=b"")
+        config = HttpBackendConfig(base_url=server.base_url, max_retries=2, backoff_s=1.0)
+        with pytest.raises(BackendExhaustedError):
+            HttpChatBackend(config).complete(BackendRequest(role=Role.REASONER, session_id="s", prompt="p"))
+        assert slept == [1.0, 2.0]

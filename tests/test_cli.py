@@ -87,6 +87,22 @@ def test_run_names_a_damaged_journal_line(runner, sim_tree, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("endpoint,message", [
+    ("localhost", "No scheme supplied"),
+    ("localhost:8000", "No connection adapters were found"),  # parsed as the scheme "localhost"
+    ("http://", "No host supplied"),
+])
+def test_run_rejects_an_endpoint_no_request_can_reach(runner, sim_tree, tmp_path, endpoint, message):
+    args = _run_args(sim_tree, tmp_path)
+    at = args.index("--fixtures")
+    args[at:at + 2] = ["--endpoint", endpoint]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value for --endpoint" in result.output and message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report" / "cache").exists()
+
+
 def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):
     args = _holey_run_args(sim_tree, tmp_path)
     result = runner.invoke(main, args)
