@@ -9,17 +9,23 @@ deterministic mock that replays fixture files. Fixture lookups are keyed by
 from __future__ import annotations
 
 import email.utils
+import functools
 import hashlib
+import http.client
 import json
 import os
+import select
+import ssl
 import threading
 import time
+import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from datetime import timezone
 from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
+from urllib.parse import urlsplit
 
 import requests
 
@@ -264,6 +270,33 @@ def parse_retry_after(value: str | None, now: float) -> float | None:
     return max(0.0, when.timestamp() - now)
 
 
+def tls_context(verify: bool | str) -> ssl.SSLContext:
+    """The TLS context for requests' ``verify`` setting: True checks peers against
+    requests' CA bundle, a path against that file or directory, False not at all."""
+    if verify is False:
+        context = ssl.create_default_context()
+        context.check_hostname = False
+        context.verify_mode = ssl.CERT_NONE
+        return context
+    path = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+    if os.path.isdir(path):
+        return ssl.create_default_context(capath=path)
+    return ssl.create_default_context(cafile=path)
+
+
+def _decoded(data: bytes, coding: str | None) -> bytes:
+    """A body under its ``Content-Encoding``: gzip, or deflate (zlib-wrapped or raw)."""
+    coding = (coding or "").strip().lower()
+    if coding in ("gzip", "x-gzip"):
+        return zlib.decompress(data, 16 + zlib.MAX_WBITS)
+    if coding == "deflate":
+        try:
+            return zlib.decompress(data)
+        except zlib.error:
+            return zlib.decompress(data, -zlib.MAX_WBITS)
+    return data
+
+
 class HttpChatBackend(Backend):
     """Chat-completions client for locally served models.
 
@@ -272,12 +305,14 @@ class HttpChatBackend(Backend):
     that standard servers ignore and fixture-replay servers key on. Timeouts,
     connection errors, 408, 429 and 5xx answers retry with exponential backoff
     up to max_retries; a 429 or 503 with a valid ``Retry-After`` waits that long
-    instead, capped at the longest backoff. Any other 4xx fails at once.
+    instead, capped at the longest backoff. Any 3xx (redirects are not followed)
+    or other 4xx fails at once.
 
     The URL, headers, ``.netrc`` auth, proxies and CA bundle are resolved once,
-    here: each request copies one prepared template and sends it with the same
-    settings. An explicit ``api_key`` wins over ``.netrc``. Each calling thread
-    gets its own ``requests.Session``, made on its first request.
+    here, through ``requests``; an explicit ``api_key`` wins over ``.netrc``.
+    Requests go out on ``http.client``: each calling thread keeps one connection,
+    made on its first request and reopened after the server closes it. Cookies
+    the server sets are not kept.
     """
 
     def __init__(self, config: HttpBackendConfig, backend_id: str | None = None):
@@ -288,26 +323,54 @@ class HttpChatBackend(Backend):
         with requests.Session() as session:
             try:
                 # default headers, plus .netrc auth when the environment has an entry for the host
-                self._template = session.prepare_request(
+                prepared = session.prepare_request(
                     requests.Request("POST", url, headers={"Content-Type": "application/json"})
                 )
-                session.get_adapter(url)  # raises for a scheme no transport serves ("localhost:8000")
+                adapter = session.get_adapter(url)  # raises for a scheme no transport serves ("localhost:8000")
             except requests.RequestException as exc:
                 raise EndpointError(str(exc)) from None
             # what Session.request derives from the environment on every call
-            self._send_kwargs = {
-                "timeout": config.timeout_s,
-                "allow_redirects": True,
-                **session.merge_environment_settings(url, {}, None, None, None),
-            }
+            env = session.merge_environment_settings(url, {}, None, None, None)
+        self._headers = dict(prepared.headers)  # Content-Length is set per request
+        self._headers["Accept-Encoding"] = "gzip, deflate"  # the codings _decoded reads
         if config.api_key:
-            self._template.headers["Authorization"] = f"Bearer {config.api_key}"
+            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        endpoint = urlsplit(prepared.url)
+        tls = endpoint.scheme == "https"
+        address = (endpoint.hostname, endpoint.port or (443 if tls else 80))
+        self._target = prepared.path_url
+        self._tunnel = None
+        proxy = requests.utils.select_proxy(url, env["proxies"])
+        if proxy:
+            proxy = requests.utils.prepend_scheme_if_needed(proxy, "http")
+            via = urlsplit(proxy)
+            if via.scheme != "http":
+                raise EndpointError(f"proxy {via.scheme}://{via.hostname}: only http:// proxies are served")
+            if tls:  # a CONNECT tunnel through the proxy, then TLS with the endpoint
+                self._tunnel = (*address, adapter.proxy_headers(proxy))
+            else:  # the proxy forwards the request, which names the absolute URL
+                self._headers.update(adapter.proxy_headers(proxy))
+                self._target = requests.utils.urldefragauth(prepared.url)
+            address = (via.hostname, via.port or 80)
+        self._connect = functools.partial(http.client.HTTPConnection, *address, timeout=config.timeout_s)
+        if tls:  # through a tunnel too: TLS runs with the endpoint, inside it
+            try:
+                context = tls_context(env["verify"])
+            except OSError as exc:
+                raise EndpointError(f"CA bundle {env['verify']}: {exc}") from None
+            self._connect = functools.partial(
+                http.client.HTTPSConnection, *address, timeout=config.timeout_s, context=context
+            )
 
-    def _session(self) -> requests.Session:
-        session = getattr(self._local, "session", None)
-        if session is None:
-            session = self._local.session = requests.Session()
-        return session
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; one object for the thread's life, which
+        reconnects by itself on the request after it is closed."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+            if self._tunnel:
+                conn.set_tunnel(*self._tunnel)
+        return conn
 
     def _body(self, request: BackendRequest) -> bytes:
         body: dict[str, Any] = {
@@ -333,31 +396,39 @@ class HttpChatBackend(Backend):
         return json.dumps(body, allow_nan=False).encode("utf-8")
 
     def _post_once(self, body: bytes) -> str:
-        session = self._session()
-        prepared = self._template.copy()
-        prepared.body = body
-        prepared.headers["Content-Length"] = str(len(body))
-        prepared.prepare_cookies(session.cookies)  # any the server set on this thread's session
+        conn = self._connection()
+        # readable while idle: the server closed it (or spoke unasked); start afresh
+        if conn.sock is not None and select.select([conn.sock], [], [], 0)[0]:
+            conn.close()
+        headers = self._headers.copy()
+        headers["Content-Length"] = str(len(body))
         try:
-            resp = session.send(prepared, **self._send_kwargs)
-        except requests.Timeout as exc:
-            raise BackendTimeoutError(str(exc)) from exc
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
-        if resp.status_code != 200:
-            message = f"HTTP {resp.status_code}: {resp.text[:200]}"
-            if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+            conn.request("POST", self._target, body, headers)
+            resp = conn.getresponse()  # a response that will close takes the socket with it
+            data = _decoded(resp.read(), resp.getheader("Content-Encoding"))
+        except TimeoutError as exc:
+            conn.close()
+            raise BackendTimeoutError(f"{type(exc).__name__}: {exc}") from exc
+        except (OSError, http.client.HTTPException, zlib.error) as exc:
+            conn.close()
+            raise TransportError(f"{type(exc).__name__}: {exc}") from exc
+        if resp.status != 200:
+            text = data.decode("utf-8", "replace")[:200]
+            message = f"HTTP {resp.status}: {text}"
+            if 300 <= resp.status < 400:
+                message = f"HTTP {resp.status} to {resp.getheader('Location')}, not followed: {text}"
+            if 300 <= resp.status < 500 and resp.status not in (408, 429):
                 raise RequestRejectedError(message)
             wait = None
-            if resp.status_code in (429, 503):
-                wait = parse_retry_after(resp.headers.get("Retry-After"), time.time())
+            if resp.status in (429, 503):
+                wait = parse_retry_after(resp.getheader("Retry-After"), time.time())
             raise TransportError(message, retry_after_s=wait)
         try:
-            content = resp.json()["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
             content = None
         if not isinstance(content, str):  # also null content, sent for refusals and tool calls
-            raise MalformedResponseError(f"unexpected response body: {resp.text[:200]}")
+            raise MalformedResponseError(f"unexpected response body: {data.decode('utf-8', 'replace')[:200]}")
         return content
 
     def _backoff_s(self, attempt: int, error: BackendError) -> float:

@@ -16,6 +16,9 @@ from .prompting import RefinementMode
 _MODE_CHOICES = [m.value for m in RefinementMode]
 _TASK_CHOICES = [t.value for t in TaskKind]
 _RUN_DEFAULTS = orchestrator.RunConfig  # the run options default to its field defaults
+# inputs that must exist: a missing one exits 2 with a message naming its option
+_EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
+_EXISTING_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 
 @click.group()
@@ -67,12 +70,12 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 
 
 @main.command(name="run")
-@click.option("--corpus", "corpus_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--taxonomy", "taxonomy_path", type=click.Path(path_type=Path), required=True)
+@click.option("--corpus", "corpus_dir", type=_EXISTING_DIR, required=True)
+@click.option("--taxonomy", "taxonomy_path", type=_EXISTING_FILE, required=True)
 @click.option("--report-dir", type=click.Path(path_type=Path), required=True)
 @click.option("--cache-dir", type=click.Path(path_type=Path), default=None,
               help="Defaults to REPORT_DIR/cache.")
-@click.option("--fixtures", "fixtures_path", type=click.Path(path_type=Path), default=None,
+@click.option("--fixtures", "fixtures_path", type=_EXISTING_FILE, default=None,
               help="Fixture JSONL for the deterministic mock backend.")
 @click.option("--endpoint", default=None, help="Base URL of a chat-completions server.")
 @click.option("--model", default=_RUN_DEFAULTS.model, show_default=True)
@@ -88,7 +91,7 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 @click.option("--failure-threshold", type=float, default=_RUN_DEFAULTS.failure_threshold, show_default=True)
 @click.option("--allow-partial", is_flag=True,
               help="Exit zero even when sessions were marked invalid.")
-@click.option("--template-dir", type=click.Path(path_type=Path), default=None)
+@click.option("--template-dir", type=_EXISTING_DIR, default=None)
 def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path, endpoint,
                 model, api_key, modes, tasks, chunk_lens, concurrency, seed, window_s, fps,
                 min_activity_duration_s, failure_threshold, allow_partial, template_dir):
@@ -131,9 +134,9 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
 
 
 @main.command()
-@click.option("--corpus", "corpus_dir", type=click.Path(path_type=Path), required=True)
-@click.option("--taxonomy", "taxonomy_path", type=click.Path(path_type=Path), required=True)
-@click.option("--predictions", "predictions_path", type=click.Path(path_type=Path), required=True)
+@click.option("--corpus", "corpus_dir", type=_EXISTING_DIR, required=True)
+@click.option("--taxonomy", "taxonomy_path", type=_EXISTING_FILE, required=True)
+@click.option("--predictions", "predictions_path", type=_EXISTING_FILE, required=True)
 @click.option("--report-dir", type=click.Path(path_type=Path), required=True)
 def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     """Re-score a run's predictions without touching any backend.

@@ -103,6 +103,24 @@ def test_run_rejects_an_endpoint_no_request_can_reach(runner, sim_tree, tmp_path
     assert not (tmp_path / "report" / "cache").exists()
 
 
+@pytest.mark.parametrize("command,option", [
+    ("run", "--corpus"), ("run", "--taxonomy"), ("run", "--fixtures"), ("run", "--template-dir"),
+    ("evaluate", "--corpus"), ("evaluate", "--taxonomy"), ("evaluate", "--predictions"),
+])
+def test_a_missing_input_path_names_its_option(runner, sim_tree, tmp_path, command, option):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    if command == "run":
+        args = _run_args(sim_tree, tmp_path / "again", **{"--template-dir": str(tmp_path)})
+    else:
+        args = _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl", tmp_path / "rescored")
+    args[args.index(option) + 1] = str(tmp_path / "absent")
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.output and "does not exist" in result.output
+    assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)  # no other exception
+    assert not (tmp_path / "again").exists() and not (tmp_path / "rescored").exists()
+
+
 def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):
     args = _holey_run_args(sim_tree, tmp_path)
     result = runner.invoke(main, args)
