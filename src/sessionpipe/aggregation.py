@@ -8,8 +8,9 @@ predicted Presence; a higher ratio means more frequent abnormal behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping, Sequence
 
 from .corpus import ACTIVITY_TASKS, E_TASKS, TaskKind
 from .parsing import MatchTier, ParsedBinary, ParsedLabel
@@ -46,10 +47,6 @@ class SegmentPrediction:
             raise TypeError(f"activity task {self.task.value} needs a ParsedLabel")
         if self.task in E_TASKS and not isinstance(self.label, ParsedBinary):
             raise TypeError(f"binary task {self.task.value} needs a ParsedBinary")
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
 
     def to_record(self) -> dict:
         record: dict[str, Any] = {
@@ -99,6 +96,48 @@ def _check_single_group(preds: Sequence[SegmentPrediction]) -> None:
         )
 
 
+@dataclass(slots=True)
+class SessionSummary:
+    """All that scoring needs of one session's windows for one (mode, chunk
+    length, task), added up window by window: the window and Presence counts
+    (E1-E3), label -> duration sum (recognition) and (predicted, gold) label
+    counts of the windows a gold interval covers (segmentation)."""
+
+    windows: int = 0
+    present: int = 0
+    durations: dict[str, float] = field(default_factory=dict)
+    outcomes: Counter[tuple[str | None, str]] = field(default_factory=Counter)
+
+    def add(self, record: Mapping[str, Any], gold: str | None = None) -> None:
+        """Count one window's predictions.jsonl record; ``gold`` is the gold
+        label at its midpoint, if it is scored per segment."""
+        self.windows += 1
+        if "presence" in record:
+            self.present += record["presence"] is True
+            return
+        label = record["label"]
+        if gold is not None:
+            self.outcomes[label, gold] += 1
+        if label is not None:
+            self.durations[label] = self.durations.get(label, 0.0) + (record["end_s"] - record["start_s"])
+
+    def activities(self, min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S) -> frozenset[str]:
+        """Labels whose windows total at least min_duration_s seconds."""
+        return frozenset(label for label, total in self.durations.items() if total >= min_duration_s)
+
+    @property
+    def ratio(self) -> float:
+        """The fraction of windows predicted Presence."""
+        return self.present / self.windows
+
+
+def _summarize(preds: Iterable[SegmentPrediction]) -> SessionSummary:
+    summary = SessionSummary()
+    for pred in preds:
+        summary.add(pred.to_record())
+    return summary
+
+
 def session_activities(
     preds: Sequence[SegmentPrediction],
     min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S,
@@ -109,13 +148,7 @@ def session_activities(
     default threshold this reduces to "predicted in at least 6 windows".
     """
     _check_single_group(preds)
-    totals: dict[str, float] = {}
-    for pred in preds:
-        label = pred.label.label if isinstance(pred.label, ParsedLabel) else None
-        if label is None:
-            continue
-        totals[label] = totals.get(label, 0.0) + pred.duration_s
-    return frozenset(label for label, total in totals.items() if total >= min_duration_s)
+    return _summarize(preds).activities(min_duration_s)
 
 
 def abnormal_ratio(preds: Sequence[SegmentPrediction]) -> float:
@@ -123,10 +156,7 @@ def abnormal_ratio(preds: Sequence[SegmentPrediction]) -> float:
     if not preds:
         raise EmptySessionError("cannot score an empty prediction list")
     _check_single_group(preds)
-    n_present = sum(
-        1 for p in preds if isinstance(p.label, ParsedBinary) and p.label.presence is True
-    )
-    return n_present / len(preds)
+    return _summarize(preds).ratio
 
 
 def lift_session(

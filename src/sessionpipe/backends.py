@@ -20,11 +20,12 @@ import threading
 import time
 import zlib
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timezone
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 from urllib.parse import urlsplit
 
 import requests
@@ -71,9 +72,10 @@ class FixtureMissError(BackendError):
     pass
 
 
-class EndpointError(BackendError):
+class EndpointError(ValueError):
     """No request can be sent to the endpoint URL (no scheme, no host, or a scheme
-    no transport serves); raised when the HTTP backend is built."""
+    no transport serves); raised when the HTTP backend is built. A configuration
+    error, not a failed request: a run stops on it."""
 
 
 class BackendExhaustedError(BackendError):
@@ -141,19 +143,26 @@ def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
                 yield json.loads(line)
 
 
-def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
-    """Write one sorted-key JSON record per line to a temp file, then rename it
-    over ``path``; a failed write removes the temp file and leaves ``path`` whole."""
+@contextmanager
+def replacing(path: str | Path) -> Iterator[IO[str]]:
+    """A temp text file that is renamed over ``path`` when the block ends; a failed
+    write removes the temp file and leaves ``path`` whole."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(SORTED_JSON.encode(record) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
+    """Write one sorted-key JSON record per line, replacing ``path`` whole."""
+    with replacing(path) as fh:
+        for record in records:
+            fh.write(SORTED_JSON.encode(record) + "\n")
 
 
 FixtureKey = tuple[str, str, int | None, str]
@@ -210,6 +219,9 @@ class Backend(ABC):
     @abstractmethod
     def complete(self, request: BackendRequest) -> BackendResponse:
         """Run one request to completion, including retries."""
+
+    def close(self) -> None:
+        """Release what the requests so far hold open; a later request may open it again."""
 
 
 class MockBackend(Backend):
@@ -311,14 +323,16 @@ class HttpChatBackend(Backend):
     The URL, headers, ``.netrc`` auth, proxies and CA bundle are resolved once,
     here, through ``requests``; an explicit ``api_key`` wins over ``.netrc``.
     Requests go out on ``http.client``: each calling thread keeps one connection,
-    made on its first request and reopened after the server closes it. Cookies
-    the server sets are not kept.
+    made on its first request and reopened after the server closes it or
+    ``close()`` closed it. Cookies the server sets are not kept.
     """
 
     def __init__(self, config: HttpBackendConfig, backend_id: str | None = None):
         self.config = config
         self.backend_id = backend_id if backend_id is not None else f"http:{config.model}"
         self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []  # one per thread; close() closes them
+        self._connections_lock = threading.Lock()
         url = f"{config.base_url.rstrip('/')}/v1/chat/completions"
         with requests.Session() as session:
             try:
@@ -370,7 +384,15 @@ class HttpChatBackend(Backend):
             conn = self._local.conn = self._connect()
             if self._tunnel:
                 conn.set_tunnel(*self._tunnel)
+            with self._connections_lock:
+                self._connections.append(conn)
         return conn
+
+    def close(self) -> None:
+        """Close every thread's connection; call it once no request is in flight."""
+        with self._connections_lock:
+            for conn in self._connections:
+                conn.close()
 
     def _body(self, request: BackendRequest) -> bytes:
         body: dict[str, Any] = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import click
@@ -143,17 +144,24 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
 
     The run's report.json next to the predictions says how they are scored:
     modes, tasks, chunk lengths, the activity duration threshold and the
-    invalid sessions. The outputs equal the run's.
+    invalid sessions. The outputs equal the run's. Within each (mode, chunk
+    length, task) group the lines must be in run order, by session and then
+    window, as a run writes them; a line out of that order exits 2.
     """
     run_report = predictions_path.parent / "report.json"
     if not run_report.is_file():
         raise click.BadParameter(f"no report.json next to {predictions_path}", param_hint="--predictions")
     taxonomy = load_taxonomy(taxonomy_path)
     manifests = load_corpus(corpus_dir, taxonomy)
-    predictions = orchestrator.load_predictions(predictions_path)
     run_info = json.loads(run_report.read_text(encoding="utf-8"))
-    report = orchestrator.evaluate_predictions(manifests, taxonomy, predictions, run_info)
-    orchestrator.write_report_files(report, predictions, report_dir)
+    with closing(orchestrator.Scorer(manifests, report_dir)) as scorer:
+        try:
+            scorer.read(predictions_path)
+        except orchestrator.OutOfOrderError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(2)
+        report = orchestrator.evaluate_predictions(manifests, taxonomy, scorer, run_info)
+        orchestrator.write_report_files(report, scorer, report_dir)
     click.echo(f"report written to {report_dir}")
 
 

@@ -8,6 +8,7 @@ tied scores grouped into a single threshold step.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -96,29 +97,37 @@ def macro_f1_multiclass(
 
     `timelines` maps each session_id to its interval list. A segment's gold
     label is the interval covering its midpoint; segments not covered by any
-    interval are excluded. Unknown predictions (None) are always wrong: they
-    add a false negative for the gold class and no false positive.
+    interval are excluded.
     """
     for entries in timelines.values():
         for entry in entries:
             if entry.label not in taxonomy:
                 raise KeyMismatchError(f"timeline label '{entry.label}' not in taxonomy")
-    resolved: list[tuple[str | None, str]] = []
+    outcomes: Counter[tuple[str | None, str]] = Counter()
     for segment, pred_label in preds:
         if segment.session_id not in timelines:
             raise KeyMismatchError(f"no gold timeline for session '{segment.session_id}'")
         gold_label = resolve_segment_gold(segment, timelines[segment.session_id])
-        if gold_label is None:
-            continue
+        if gold_label is not None:
+            outcomes[pred_label, gold_label] += 1
+    return macro_f1_outcomes(outcomes, taxonomy)
+
+
+def macro_f1_outcomes(
+    outcomes: Mapping[tuple[str | None, str], int],
+    taxonomy: ActivityTaxonomy,
+) -> tuple[float, dict[str, float]]:
+    """Multi-class macro-F1 from (predicted, gold) label counts. Unknown
+    predictions (None) are always wrong: they add a false negative for the
+    gold class and no false positive."""
+    for pred_label, _ in outcomes:
         if pred_label is not None and pred_label not in taxonomy:
             raise KeyMismatchError(f"predicted label '{pred_label}' not in taxonomy")
-        resolved.append((pred_label, gold_label))
-
     per_class: dict[str, float] = {}
     for cls in taxonomy.labels:
-        tp = sum(1 for pred, gold in resolved if pred == cls and gold == cls)
-        fp = sum(1 for pred, gold in resolved if pred == cls and gold != cls)
-        fn = sum(1 for pred, gold in resolved if pred != cls and gold == cls)
+        tp = sum(n for (pred, gold), n in outcomes.items() if pred == cls and gold == cls)
+        fp = sum(n for (pred, gold), n in outcomes.items() if pred == cls and gold != cls)
+        fn = sum(n for (pred, gold), n in outcomes.items() if pred != cls and gold == cls)
         per_class[cls] = ClassCounts(tp, fp, fn).f1
     return _macro(per_class), per_class
 

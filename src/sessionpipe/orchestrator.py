@@ -13,7 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
+import shutil
+import tempfile
+import threading
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ from .backends import (
     Backend,
     BackendError,
     BackendRequest,
+    BackendResponse,
     GenerationParams,
     HttpBackendConfig,
     HttpChatBackend,
@@ -34,18 +38,17 @@ from .backends import (
     Role,
     parse_utterances_json,
     read_jsonl,
-    write_jsonl,
+    replacing,
 )
 from .corpus import (
     ACTIVITY_TASKS,
     ActivityTaxonomy,
     SessionManifest,
     TaskKind,
-    TimelineEntry,
     load_corpus,
     load_taxonomy,
 )
-from .parsing import ParsedLabel, parse_binary, parse_label
+from .parsing import parse_binary, parse_label
 from .prompting import (
     CAPTION_MODES,
     DESCRIPTION_PROMPT,
@@ -190,8 +193,8 @@ def _fetch(
     follows plan order. In-process backends run inline, one request at a time;
     others on a pool of ``concurrency`` threads, with at most
     ``2 * concurrency`` planned items not yet yielded. On any exception,
-    requests not yet started are cancelled; the journal is closed in any case,
-    so callers close the generator when they stop early.
+    requests not yet started are cancelled; the journal and the backend are
+    closed in any case, so callers close the generator when they stop early.
     """
     def call(request: BackendRequest) -> str | BackendError:
         try:
@@ -235,16 +238,45 @@ def _fetch(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         cache.flush()  # closes the journal, also when a kill or a bug raises past call or the consumer
+        backend.close()
+
+
+def _backend_id(cfg: RunConfig) -> str:
+    """The id of the backend ``build_backend(cfg)`` makes."""
+    if (cfg.fixtures_path is None) == (cfg.endpoint is None):
+        raise ValueError("RunConfig needs either a fixtures_path or an endpoint, not both")
+    return "mock" if cfg.fixtures_path is not None else f"http:{cfg.model}"
 
 
 def build_backend(cfg: RunConfig) -> Backend:
-    if cfg.fixtures_path is not None and cfg.endpoint is not None:
-        raise ValueError("configure either fixtures_path or endpoint, not both")
-    if cfg.fixtures_path is not None:
+    if _backend_id(cfg) == "mock":
         return MockBackend(cfg.fixtures_path)
-    if cfg.endpoint is not None:
-        return HttpChatBackend(HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key))
-    raise ValueError("RunConfig needs a fixtures_path or an endpoint")
+    return HttpChatBackend(HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key))
+
+
+class _BuiltOnFirstRequest(Backend):
+    """The backend ``build_backend(cfg)`` makes, built when the first request is
+    sent: a run answered from the cache builds none. What building raises (a
+    bad endpoint, a missing fixture file) is no BackendError, so it stops the
+    run instead of failing one request."""
+
+    def __init__(self, cfg: RunConfig):
+        self.backend_id = _backend_id(cfg)
+        self.in_process = cfg.fixtures_path is not None  # the mock
+        self._cfg = cfg
+        self._backend: Backend | None = None
+        self._lock = threading.Lock()
+
+    def complete(self, request: BackendRequest) -> BackendResponse:
+        if self._backend is None:
+            with self._lock:
+                if self._backend is None:
+                    self._backend = build_backend(self._cfg)
+        return self._backend.complete(request)
+
+    def close(self) -> None:
+        if self._backend is not None:
+            self._backend.close()
 
 
 class PlannedUnit(NamedTuple):
@@ -374,6 +406,84 @@ def plan_units(
                     yield PlannedUnit(task, mode, chunk_len, window, request, caption, transcript)
 
 
+_SEGMENTATION = TaskKind.ACTIVITY_SEGMENTATION.value
+
+
+class OutOfOrderError(ValueError):
+    """A prediction that does not come after the one before it in its group in run order."""
+
+
+class Scorer:
+    """Predictions as they arrive, kept only as small per-session summaries.
+
+    Each prediction is its predictions.jsonl record. Within each (mode, chunk
+    length, task) group, predictions must arrive in run order: by session, then
+    window. Each one's line goes to its group's spill file, an anonymous
+    temporary file in ``spill_dir``, and its window is added to its session's
+    summary in ``summaries``, by (mode, chunk length, task, session) as the
+    records name them. So the spill files joined in group order are
+    predictions.jsonl, and every sum adds up in window order.
+    """
+
+    def __init__(self, manifests: Sequence[SessionManifest], spill_dir: Path):
+        self._timelines = {m.session_id: m.ground_truth.activity_timeline for m in manifests}
+        self._spill_dir = Path(spill_dir)
+        self._spill_dir.mkdir(parents=True, exist_ok=True)
+        # by group: its spill file, the (session, window) it took last and that session's summary
+        self._groups: dict[tuple[str, str, str], list] = {}
+        self.summaries: dict[tuple[str, str, str, str], aggregation.SessionSummary] = {}
+
+    def add(self, record: dict[str, Any]) -> None:
+        """Take one prediction; OutOfOrderError if it does not follow its group's last one."""
+        group = (record["mode"], str(record["chunk_len_s"]), record["task"])
+        at = (record["session_id"], record["unit_index"])
+        state = self._groups.get(group)
+        if state is None:
+            spill = tempfile.TemporaryFile("w+", encoding="utf-8", dir=self._spill_dir)
+            state = self._groups[group] = [spill, None, None]
+        spill, last, summary = state
+        if last is None or at[0] != last[0]:
+            if last is not None and at < last:
+                raise OutOfOrderError(f"{'/'.join(group)}: session {at[0]} comes after session {last[0]}")
+            summary = state[2] = self.summaries[(*group, at[0])] = aggregation.SessionSummary()
+        elif at[1] <= last[1]:
+            raise OutOfOrderError(f"{'/'.join(group)}: window {at[1]} of session {at[0]} "
+                                  f"comes after window {last[1]}")
+        state[1] = at
+        spill.write(SORTED_JSON.encode(record) + "\n")
+        gold = None
+        if group[2] == _SEGMENTATION and (timeline := self._timelines.get(at[0])) is not None:
+            gold = metrics.resolve_segment_gold(
+                Segment(session_id=at[0], index=at[1], start_s=record["start_s"], end_s=record["end_s"],
+                        frame_timestamps_s=()), timeline)
+        summary.add(record, gold)
+
+    def read(self, path: Path) -> None:
+        """Add every prediction of a predictions.jsonl file, each checked and
+        rewritten as a run writes it; a line out of run order raises
+        OutOfOrderError naming the file and the line."""
+        with open(path, encoding="utf-8") as fh:
+            for number, line in enumerate(fh, 1):
+                if line.strip():
+                    try:
+                        self.add(aggregation.SegmentPrediction.from_record(json.loads(line)).to_record())
+                    except OutOfOrderError as exc:
+                        raise OutOfOrderError(f"{path}: line {number} is out of run order: {exc}") from None
+
+    def write_predictions(self, path: Path) -> None:
+        """predictions.jsonl: the spill files joined in group order."""
+        with replacing(path) as out:
+            for group in sorted(self._groups):
+                spill = self._groups[group][0]
+                spill.seek(0)
+                shutil.copyfileobj(spill, out)
+
+    def close(self) -> None:
+        """Close, and so delete, the spill files."""
+        for spill, _, _ in self._groups.values():
+            spill.close()
+
+
 def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     """Execute the full pipeline for one configuration, write the report files
     and return the report.json document."""
@@ -381,7 +491,7 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     manifests = load_corpus(cfg.corpus_dir, taxonomy)
     templates = load_templates(cfg.template_dir) if cfg.template_dir is not None else None
     if backend is None:
-        backend = build_backend(cfg)
+        backend = _BuiltOnFirstRequest(cfg)
     cache = ResponseCache(cfg.cache_dir)
     params = GenerationParams(seed=cfg.seed)
 
@@ -426,15 +536,15 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     units = ((unit, unit.request) for m in manifests
              for unit in plan_units(m, segments[m.session_id], captions[m.session_id], chunks[m.session_id],
                                     cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, params))
-    predictions: list[aggregation.SegmentPrediction] = []
-    with closing(_fetch(backend, cache, cfg.concurrency, units)) as answered:
+    scorer = Scorer(manifests, cfg.report_dir)
+    with closing(scorer), closing(_fetch(backend, cache, cfg.concurrency, units)) as answered:
         for unit, key, answer in answered:
             window, sid = unit.window, unit.request.session_id
             if isinstance(answer, BackendError):
                 overlapping = (s.index for s in segments[sid] if s.start_s < window.end_s and s.end_s > window.start_s)
                 record_failure(unit.request, answer, overlapping)
                 continue
-            predictions.append(
+            scorer.add(
                 aggregation.SegmentPrediction(
                     session_id=sid,
                     task=unit.task,
@@ -445,56 +555,52 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
                     label=parse_label(answer, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(answer),
                     chunk_len_s=unit.chunk_len_s,
                     cache_key=key,
-                )
+                ).to_record()
             )
 
-    run_info = {
-        "backend_id": backend.backend_id,
-        "config": {
-            "modes": [m.value for m in cfg.modes],
-            "tasks": [t.value for t in cfg.tasks],
-            "chunk_lens": list(cfg.chunk_lens),
-            "window_s": cfg.window_s,
-            "fps": cfg.fps,
-            "min_activity_duration_s": cfg.min_activity_duration_s,
-            "failure_threshold": cfg.failure_threshold,
-            "seed": cfg.seed,
-            "concurrency": cfg.concurrency,
-        },
-        "invalid_sessions": sorted(
-            sid for sid, segs in segments.items()
-            if segs and len(failed_segments[sid]) / len(segs) > cfg.failure_threshold
-        ),
-        "failures": sorted(failures, key=lambda f: (f["session_id"], str(f["segment_index"]), f["role"])),
-    }
-    report = evaluate_predictions(manifests, taxonomy, predictions, run_info)
-    write_report_files(report, predictions, cfg.report_dir)
+        run_info = {
+            "backend_id": backend.backend_id,
+            "config": {
+                "modes": [m.value for m in cfg.modes],
+                "tasks": [t.value for t in cfg.tasks],
+                "chunk_lens": list(cfg.chunk_lens),
+                "window_s": cfg.window_s,
+                "fps": cfg.fps,
+                "min_activity_duration_s": cfg.min_activity_duration_s,
+                "failure_threshold": cfg.failure_threshold,
+                "seed": cfg.seed,
+                "concurrency": cfg.concurrency,
+            },
+            "invalid_sessions": sorted(
+                sid for sid, segs in segments.items()
+                if segs and len(failed_segments[sid]) / len(segs) > cfg.failure_threshold
+            ),
+            "failures": sorted(failures, key=lambda f: (f["session_id"], str(f["segment_index"]), f["role"])),
+        }
+        report = evaluate_predictions(manifests, taxonomy, scorer, run_info)
+        write_report_files(report, scorer, cfg.report_dir)
     return report
 
 
 def evaluate_predictions(
     manifests: Sequence[SessionManifest],
     taxonomy: ActivityTaxonomy,
-    predictions: Sequence[aggregation.SegmentPrediction],
+    scorer: Scorer,
     run_info: Mapping[str, Any],
 ) -> dict:
-    """Score parsed predictions against corpus ground truth: the report.json
-    document, with one row per (mode, chunk length) configuration.
+    """Score the predictions a scorer took against corpus ground truth: the
+    report.json document, with one row per (mode, chunk length) configuration.
 
     ``run_info`` holds what the run decided: ``backend_id``, ``config`` (its
     settings, whose modes, tasks, chunk lengths and activity duration threshold
     are scored here), ``invalid_sessions`` and ``failures``. A run's own
-    report.json has these keys; its other keys are ignored.
+    report.json has these keys; its other keys are ignored. The summaries of
+    invalid sessions, and of sessions outside the corpus, are not read.
     """
     config = run_info["config"]
     modes = [RefinementMode(m) for m in config["modes"]]
     tasks = [TaskKind(t) for t in config["tasks"]]
     invalid = set(run_info["invalid_sessions"])
-    grouped: dict[tuple[RefinementMode, int | None, TaskKind, str], list[aggregation.SegmentPrediction]] = {}
-    for pred in predictions:
-        if pred.session_id in invalid:
-            continue
-        grouped.setdefault((pred.mode, pred.chunk_len_s, pred.task, pred.session_id), []).append(pred)
 
     rows = []
     for mode in modes:
@@ -513,45 +619,23 @@ def evaluate_predictions(
                     cells[task.value] = None
                     notes[task.value] = "no sessions with gold labels"
                     continue
+                group = (mode.value, str(chunk_len), task.value)
+                summaries = [(m, scorer.summaries.get((*group, m.session_id))) for m in sessions]
                 if task is TaskKind.ACTIVITY_RECOGNITION:
-                    preds_map = {}
-                    gold_map = {}
-                    for m in sessions:
-                        units = grouped.get((mode, chunk_len, task, m.session_id), [])
-                        preds_map[m.session_id] = (
-                            aggregation.lift_session(units, config["min_activity_duration_s"])
-                            if units else frozenset()
-                        )
-                        gold_map[m.session_id] = m.ground_truth.session_activities
+                    min_duration_s = config["min_activity_duration_s"]
                     cells[task.value], per_class[task.value] = metrics.macro_f1_multilabel(
-                        preds_map, gold_map, taxonomy)
+                        {m.session_id: s.activities(min_duration_s) if s else frozenset() for m, s in summaries},
+                        {m.session_id: m.ground_truth.session_activities for m, s in summaries},
+                        taxonomy)
                 elif task is TaskKind.ACTIVITY_SEGMENTATION:
-                    pairs = []
-                    timelines: dict[str, Sequence[TimelineEntry]] = {}
-                    for m in sessions:
-                        timelines[m.session_id] = m.ground_truth.activity_timeline
-                        for pred in grouped.get((mode, chunk_len, task, m.session_id), []):
-                            segment = Segment(
-                                session_id=pred.session_id, index=pred.unit_index,
-                                start_s=pred.start_s, end_s=pred.end_s, frame_timestamps_s=(),
-                            )
-                            assert isinstance(pred.label, ParsedLabel)
-                            pairs.append((segment, pred.label.label))
-                    cells[task.value], per_class[task.value] = metrics.macro_f1_multiclass(
-                        pairs, timelines, taxonomy)
+                    outcomes = sum((s.outcomes for _, s in summaries if s), Counter())
+                    cells[task.value], per_class[task.value] = metrics.macro_f1_outcomes(outcomes, taxonomy)
                 else:
-                    ranked = []
-                    for m in sessions:
-                        units = grouped.get((mode, chunk_len, task, m.session_id), [])
-                        if not units:
-                            continue
-                        ranked.append(
-                            metrics.RankedScore(
-                                session_id=m.session_id,
-                                score=aggregation.lift_session(units),
-                                gold_presence=bool(m.ground_truth.e_flag(task)),
-                            )
-                        )
+                    ranked = [
+                        metrics.RankedScore(session_id=m.session_id, score=s.ratio,
+                                            gold_presence=bool(m.ground_truth.e_flag(task)))
+                        for m, s in summaries if s
+                    ]
                     n_sessions[task.value] = len(ranked)
                     try:
                         cells[task.value] = metrics.pr_auc(ranked)
@@ -590,12 +674,8 @@ def _has_gold(manifest: SessionManifest, task: TaskKind) -> bool:
     return gt.e_flag(task) is not None
 
 
-def write_report_files(
-    report: dict,
-    predictions: Sequence[aggregation.SegmentPrediction],
-    report_dir: Path,
-) -> None:
-    """Write report.json, report.md and predictions.jsonl."""
+def write_report_files(report: dict, scorer: Scorer, report_dir: Path) -> None:
+    """Write report.json, report.md and the scorer's predictions.jsonl."""
     from .reporting import render_markdown
 
     report_dir = Path(report_dir)
@@ -604,11 +684,7 @@ def write_report_files(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (report_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
-    ordered = sorted(
-        predictions,
-        key=lambda p: (p.mode.value, str(p.chunk_len_s), p.task.value, p.session_id, p.unit_index),
-    )
-    write_jsonl(report_dir / "predictions.jsonl", (pred.to_record() for pred in ordered))
+    scorer.write_predictions(report_dir / "predictions.jsonl")
 
 
 def load_predictions(path: str | Path) -> list[aggregation.SegmentPrediction]:

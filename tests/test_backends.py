@@ -1,11 +1,14 @@
+import gc
 import gzip
 import json
 import socket
 import ssl
 import threading
 import time
+import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from pathlib import Path
@@ -35,6 +38,9 @@ from sessionpipe.backends import (
     write_jsonl,
 )
 from sessionpipe.fixture_server import FixtureChatServer
+from sessionpipe.orchestrator import RunConfig, run
+from sessionpipe.prompting import RefinementMode
+from sessionpipe.simulator import SimConfig, generate_corpus
 from sessionpipe.windowing import TimedUtterance
 
 
@@ -392,18 +398,18 @@ REASONER = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
 class TestHttpConnection:
     def test_one_connection_carries_a_threads_requests(self, stub_server):
         server = stub_server(keep_alive_s=5.0)
-        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url))
-        assert [backend.complete(REASONER).attempt for _ in range(3)] == [1, 1, 1]
+        with closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
+            assert [backend.complete(REASONER).attempt for _ in range(3)] == [1, 1, 1]
         assert len({r.client_port for r in server.requests}) == 1
 
     def test_a_connection_the_server_closed_while_idle_is_not_reused(self, stub_server):
         server = stub_server(keep_alive_s=0.2)
-        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url, backoff_s=0.25))
         attempts = []
-        for n in range(3):
-            if n:
-                time.sleep(0.5)  # past the server's idle timeout: it has closed the connection
-            attempts.append(backend.complete(REASONER).attempt)
+        with closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url, backoff_s=0.25))) as backend:
+            for n in range(3):
+                if n:
+                    time.sleep(0.5)  # past the server's idle timeout: it has closed the connection
+                attempts.append(backend.complete(REASONER).attempt)
         assert attempts == [1, 1, 1]
         assert [r.method for r in server.requests] == ["POST"] * 3
         assert len({r.client_port for r in server.requests}) == 3
@@ -443,9 +449,9 @@ class TestHttpConnection:
 
     def test_cookies_are_not_sent_back(self, stub_server):
         server = stub_server(headers={"Set-Cookie": "sid=abc; Path=/"}, keep_alive_s=5.0)
-        backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url))
-        backend.complete(REASONER)
-        backend.complete(REASONER)
+        with closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
+            backend.complete(REASONER)
+            backend.complete(REASONER)
         assert [("Cookie" in r.headers) for r in server.requests] == [False, False]
 
     def test_tls_context_follows_verify(self, tmp_path):
@@ -493,6 +499,39 @@ class TestHttpConnection:
         monkeypatch.setenv("HTTP_PROXY", proxy)
         with pytest.raises(EndpointError, match="only http:// proxies"):
             HttpChatBackend(HttpBackendConfig(base_url="http://models.example:8000"))
+
+
+@pytest.fixture
+def http_run(tmp_path, clean_env):
+    """Run a one-session video-only corpus against an endpoint, on the backend the run builds."""
+    modes = (RefinementMode.VIDEO_ONLY,)
+    out = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=64.0), tmp_path / "sim", modes=modes)
+
+    def start(endpoint: str) -> dict:
+        return run(RunConfig(corpus_dir=out.corpus_dir, taxonomy_path=out.taxonomy_path,
+                             report_dir=tmp_path / "report", endpoint=endpoint, modes=modes, concurrency=2))
+
+    return start
+
+
+class TestHttpRun:
+    def test_a_run_closes_the_connections_it_kept(self, stub_server, http_run):
+        server = stub_server(keep_alive_s=5.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            http_run(server.base_url)
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert len(server.requests) > len({r.client_port for r in server.requests})  # connections were kept
+
+    def test_a_warm_run_builds_no_backend(self, stub_server, http_run, monkeypatch):
+        sessions = []
+        session = requests.Session
+        monkeypatch.setattr(requests, "Session", lambda: sessions.append(session) or session())
+        cold = http_run(stub_server(keep_alive_s=5.0).base_url)
+        assert len(sessions) == 1
+        warm = http_run(f"http://127.0.0.1:{_free_port()}")  # nothing listens there: a request would fail
+        assert len(sessions) == 1 and warm == cold
 
 
 def _http_date(delta_s: float) -> str:

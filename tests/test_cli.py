@@ -173,6 +173,35 @@ def test_evaluate_needs_the_runs_report(runner, sim_tree, tmp_path):
     assert not (tmp_path / "rescored").exists()
 
 
+def test_evaluate_refuses_a_line_out_of_run_order(runner, sim_tree, tmp_path):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    predictions = tmp_path / "report" / "predictions.jsonl"
+    lines = predictions.read_bytes().splitlines(keepends=True)
+    lines[4], lines[5] = lines[5], lines[4]  # windows 4 and 5 of sim-000's first group
+    predictions.write_bytes(b"".join(lines))
+    result = runner.invoke(main, _evaluate_args(sim_tree, predictions, tmp_path / "rescored"))
+    assert result.exit_code == 2
+    assert (f"Error: {predictions}: line 6 is out of run order: multimodal/16/activity_recognition: "
+            "window 4 of session sim-000 comes after window 5") in result.output
+    assert "Traceback" not in result.output
+    assert list((tmp_path / "rescored").iterdir()) == []  # no report, and no spill file left behind
+
+
+def test_evaluate_takes_the_groups_in_any_order(runner, sim_tree, tmp_path):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    run_dir = tmp_path / "report"
+    lines = (run_dir / "predictions.jsonl").read_bytes().splitlines(keepends=True)
+    first = sum(json.loads(line)["task"] == "activity_recognition" for line in lines)  # the first group
+    shuffled = tmp_path / "shuffled" / "predictions.jsonl"
+    shuffled.parent.mkdir()
+    shuffled.write_bytes(b"".join(lines[first:] + lines[:first]))
+    (shuffled.parent / "report.json").write_bytes((run_dir / "report.json").read_bytes())
+    result = runner.invoke(main, _evaluate_args(sim_tree, shuffled, tmp_path / "rescored"))
+    assert result.exit_code == 0, result.output
+    for name in ("report.json", "report.md", "predictions.jsonl"):
+        assert (tmp_path / "rescored" / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
 def test_evaluate_takes_no_scoring_options(runner):
     help_text = runner.invoke(main, ["evaluate", "--help"]).output
     assert "--exclude-session" not in help_text

@@ -1,7 +1,10 @@
 import json
+import sys
 import tempfile
 import threading
+import time
 from collections import Counter
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -200,6 +203,26 @@ class TestExecution:
         cfg = make_config(sim_out, tmp_path, fixtures_path=tmp_path / "absent.jsonl")
         with pytest.raises(FileNotFoundError):
             orchestrator.build_backend(cfg)
+
+    def test_the_backend_is_built_once_on_the_first_miss(self, sim_out, tmp_path, monkeypatch):
+        builds = []
+
+        def build(cfg):
+            builds.append(cfg.endpoint)
+            time.sleep(0.01)  # the other pool threads reach the check meanwhile
+            return MockBackend(sim_out.fixtures_path)
+
+        monkeypatch.setattr(orchestrator, "build_backend", build)
+        cfg = make_config(sim_out, tmp_path, fixtures_path=None, endpoint="http://models.invalid", concurrency=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            report = run(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert builds == ["http://models.invalid"] and report["failures"] == []
+        assert report["backend_id"] == "http:local-model"  # from the configuration, before any build
+        assert run(cfg) == report and len(builds) == 1  # warm: nothing to send, nothing built
 
     def test_mock_run_starts_no_thread_pool(self, sim_out, tmp_path, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -437,12 +460,13 @@ class TestEvaluateFromPredictions:
     def test_rescoring_matches_run(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
         report = run(cfg)
-        preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         from sessionpipe.corpus import load_corpus, load_taxonomy
 
         taxonomy = load_taxonomy(cfg.taxonomy_path)
         manifests = load_corpus(cfg.corpus_dir, taxonomy)
-        assert orchestrator.evaluate_predictions(manifests, taxonomy, preds, report) == report
+        with closing(orchestrator.Scorer(manifests, tmp_path / "rescored")) as scorer:
+            scorer.read(cfg.report_dir / "predictions.jsonl")
+            assert orchestrator.evaluate_predictions(manifests, taxonomy, scorer, report) == report
 
 
 class TestRunConfigValidation:

@@ -1,12 +1,15 @@
 """Metamorphic properties of a run's outputs.
 
-Re-scoring a run with ``evaluate``, reordering the corpus index and sending
-the requests on a thread pool of any size must each leave the outputs as they
-were. Each property draws small corpora (at most three sessions of at most
-64 s) and drops a drawn share of the fixture records, so that runs also meet
-failed requests and invalid sessions.
+Re-scoring a run with ``evaluate``, reordering the corpus index, sending
+the requests on a thread pool of any size and running the corpus in two parts
+must each leave the outputs as they were. Each property draws small corpora
+(at most three sessions of at most 64 s) and drops a drawn share of the
+fixture records, so that runs also meet failed requests and invalid sessions.
+The last test checks that a run holds no predictions when scoring starts.
 """
 
+import dataclasses
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -15,9 +18,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sessionpipe import orchestrator
+from sessionpipe.aggregation import SegmentPrediction
 from sessionpipe.backends import Backend, MockBackend, read_jsonl, write_jsonl
 from sessionpipe.cli import main
-from sessionpipe.corpus import TaskKind
+from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, write_corpus
 from sessionpipe.orchestrator import RunConfig, run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
@@ -123,3 +128,48 @@ def test_concurrency_leaves_the_outputs_unchanged(sweep, concurrency):
         assert got["config"].pop("concurrency") == concurrency
         del expected["config"]["concurrency"]
         assert got == expected
+
+
+@given(sweep=SWEEP.filter(lambda sweep: sweep["n_sessions"] > 1), data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_a_corpus_run_in_two_parts_scores_as_one_run(sweep, data):
+    # the parts' predictions, one file after the other, are in run order within each group
+    with tempfile.TemporaryDirectory() as td:
+        td = Path(td)
+        out, fixtures = _simulate(td, sweep)
+        whole = td / "whole"
+        _run(out, fixtures, sweep, whole)
+        manifests = load_corpus(out.corpus_dir, load_taxonomy(out.taxonomy_path))
+        cut = data.draw(st.integers(min_value=1, max_value=len(manifests) - 1), label="cut")
+        merged = td / "merged" / "predictions.jsonl"
+        merged.parent.mkdir()
+        with open(merged, "wb") as fh:
+            for name, part in (("first", manifests[:cut]), ("rest", manifests[cut:])):
+                corpus_dir = write_corpus(part, td / name / "corpus")
+                _run(dataclasses.replace(out, corpus_dir=corpus_dir), fixtures, sweep, td / name)
+                fh.write((td / name / "predictions.jsonl").read_bytes())
+        (merged.parent / "report.json").write_bytes((whole / "report.json").read_bytes())
+        result = CliRunner().invoke(main, [
+            "evaluate", "--corpus", str(out.corpus_dir), "--taxonomy", str(out.taxonomy_path),
+            "--predictions", str(merged), "--report-dir", str(td / "rescored"),
+        ])
+        assert result.exit_code == 0, result.output
+        for name in ("report.json", "report.md", "predictions.jsonl"):
+            assert (td / "rescored" / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_the_predictions_held_when_scoring_starts_do_not_grow_with_the_corpus(tmp_path, monkeypatch):
+    live = {}
+    evaluate_predictions = orchestrator.evaluate_predictions
+
+    def counting(manifests, *args):
+        live[len(manifests)] = sum(isinstance(o, SegmentPrediction) for o in gc.get_objects())
+        return evaluate_predictions(manifests, *args)
+
+    monkeypatch.setattr(orchestrator, "evaluate_predictions", counting)
+    for n_sessions in (2, 6):
+        out = generate_corpus(SimConfig(seed=5, n_sessions=n_sessions, duration_s=64.0), tmp_path / f"sim{n_sessions}")
+        run(RunConfig(corpus_dir=out.corpus_dir, taxonomy_path=out.taxonomy_path,
+                      report_dir=tmp_path / f"run{n_sessions}", fixtures_path=out.fixtures_path))
+    written = sum(1 for _ in read_jsonl(tmp_path / "run2" / "predictions.jsonl"))
+    assert live[2] < written and live[6] <= live[2]
