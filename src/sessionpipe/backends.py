@@ -16,6 +16,7 @@ import json
 import os
 import select
 import ssl
+import sys
 import threading
 import time
 import zlib
@@ -169,10 +170,15 @@ FixtureKey = tuple[str, str, int | None, str]
 
 
 class FixtureStore:
-    """Canned texts keyed by (role, session_id, segment_index, prompt_hash)."""
+    """Canned texts keyed by (role, session_id, segment_index, prompt_hash).
+
+    It holds one text per key and nothing else of a record. The key's strings
+    are interned, so a role, a session id or a prompt hash that many fixtures
+    share (every caption has the same prompt) is held once.
+    """
 
     def __init__(self, records: Iterable[Mapping[str, Any]] = ()):
-        self._records: dict[FixtureKey, dict[str, Any]] = {}
+        self._texts: dict[FixtureKey, str] = {}
         for record in records:
             self.add(record)
 
@@ -180,25 +186,30 @@ class FixtureStore:
     def _key(record: Mapping[str, Any]) -> FixtureKey:
         seg = record["segment_index"]
         return (
-            str(record["role"]),
-            str(record["session_id"]),
+            sys.intern(str(record["role"])),
+            sys.intern(str(record["session_id"])),
             None if seg is None else int(seg),
-            str(record["prompt_hash"]),
+            sys.intern(str(record["prompt_hash"])),
         )
 
     def add(self, record: Mapping[str, Any]) -> None:
-        self._records[self._key(record)] = dict(record)
+        self._texts[self._key(record)] = record["text"]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._texts)
 
     def records(self) -> list[dict[str, Any]]:
-        return [dict(r) for r in self._records.values()]
+        """The fixture records, in the order their keys were first added."""
+        return [
+            {"role": role, "session_id": session_id, "segment_index": seg,
+             "prompt_hash": prompt_hash, "text": text}
+            for (role, session_id, seg, prompt_hash), text in self._texts.items()
+        ]
 
     def lookup(self, role: Role, session_id: str, segment_index: int | None, prompt_hash: str) -> str:
         key = (role.value, session_id, segment_index, prompt_hash)
         try:
-            return self._records[key]["text"]
+            return self._texts[key]
         except KeyError:
             raise FixtureMissError(
                 f"no fixture for role={role.value} session={session_id} "

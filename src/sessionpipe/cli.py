@@ -146,7 +146,8 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     modes, tasks, chunk lengths, the activity duration threshold and the
     invalid sessions. The outputs equal the run's. Within each (mode, chunk
     length, task) group the lines must be in run order, by session and then
-    window, as a run writes them; a line out of that order exits 2.
+    window, as a run writes them. A line out of that order, or one that is not
+    a prediction record, exits 2.
     """
     run_report = predictions_path.parent / "report.json"
     if not run_report.is_file():
@@ -157,7 +158,7 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     with closing(orchestrator.Scorer(manifests, report_dir)) as scorer:
         try:
             scorer.read(predictions_path)
-        except orchestrator.OutOfOrderError as exc:
+        except orchestrator.BadPredictionsError as exc:  # not a prediction, or out of run order
             click.echo(f"Error: {exc}", err=True)
             sys.exit(2)
         report = orchestrator.evaluate_predictions(manifests, taxonomy, scorer, run_info)

@@ -36,17 +36,18 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         try:
             length = int(self.headers.get("Content-Length", "0"))
             body = json.loads(self.rfile.read(length))
-            prompt = body["messages"][-1]["content"]
+            prompt_hash = prompt_sha256(body["messages"][-1]["content"])
             meta = body.get("metadata") or {}
             role = Role(meta["role"])
             session_id = str(meta["session_id"])
             seg = meta.get("segment_index")
             segment_index = None if seg is None else int(seg)
-        except (ValueError, KeyError, TypeError) as exc:
+        # IndexError: no messages; AttributeError: a content that is not a string
+        except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             self._send(400, {"error": {"message": f"bad request: {exc}"}})
             return
         try:
-            text = self.store.lookup(role, session_id, segment_index, prompt_sha256(prompt))
+            text = self.store.lookup(role, session_id, segment_index, prompt_hash)
         except FixtureMissError as exc:
             self._send(404, {"error": {"message": str(exc)}})
             return

@@ -409,7 +409,11 @@ def plan_units(
 _SEGMENTATION = TaskKind.ACTIVITY_SEGMENTATION.value
 
 
-class OutOfOrderError(ValueError):
+class BadPredictionsError(ValueError):
+    """A predictions.jsonl line that cannot be scored."""
+
+
+class OutOfOrderError(BadPredictionsError):
     """A prediction that does not come after the one before it in its group in run order."""
 
 
@@ -460,13 +464,20 @@ class Scorer:
 
     def read(self, path: Path) -> None:
         """Add every prediction of a predictions.jsonl file, each checked and
-        rewritten as a run writes it; a line out of run order raises
-        OutOfOrderError naming the file and the line."""
+        rewritten as a run writes it. A line that is not a prediction record
+        raises BadPredictionsError, and one out of run order OutOfOrderError;
+        both name the file and the line."""
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if line.strip():
                     try:
-                        self.add(aggregation.SegmentPrediction.from_record(json.loads(line)).to_record())
+                        record = aggregation.SegmentPrediction.from_record(json.loads(line)).to_record()
+                    except KeyError as exc:
+                        raise BadPredictionsError(f"{path}: line {number} has no field {exc}") from None
+                    except (ValueError, TypeError) as exc:  # not JSON, not an object, or a bad value
+                        raise BadPredictionsError(f"{path}: line {number} is not a prediction: {exc}") from None
+                    try:
+                        self.add(record)
                     except OutOfOrderError as exc:
                         raise OutOfOrderError(f"{path}: line {number} is out of run order: {exc}") from None
 

@@ -1,10 +1,12 @@
 import gc
 import gzip
+import http.client
 import json
 import socket
 import ssl
 import threading
 import time
+import tracemalloc
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -190,6 +192,48 @@ class TestFixtureStoreIO:
         assert loaded.records() == caption_store.records()
 
 
+class TestFixtureStore:
+    @pytest.fixture(scope="class")
+    def fixtures_path(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sim")
+        return generate_corpus(SimConfig(seed=0, n_sessions=2, duration_s=320.0), out).fixtures_path
+
+    def test_holds_one_text_per_key(self, fixtures_path):
+        # a dict copy of each record held about 880 B per record; a key and a text, about 200 B
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            store = FixtureStore.load_jsonl(fixtures_path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(store) > 1000
+        assert held / len(store) < 400
+
+    def test_records_rewrite_the_file_it_was_loaded_from(self, fixtures_path, tmp_path):
+        store = FixtureStore.load_jsonl(fixtures_path)
+        write_jsonl(tmp_path / "again.jsonl", store.records())
+        assert (tmp_path / "again.jsonl").read_bytes() == fixtures_path.read_bytes()
+
+    def test_a_repeated_key_keeps_the_last_text_in_the_first_place(self):
+        store = make_store([(Role.REASONER, "s1", 0, "p", "first"), (Role.CAPTIONER, "s1", 1, "q", "other"),
+                            (Role.REASONER, "s1", 0, "p", "last")])
+        assert len(store) == 2
+        assert store.lookup(Role.REASONER, "s1", 0, prompt_sha256("p")) == "last"
+        assert [r["text"] for r in store.records()] == ["last", "other"]
+
+    def test_key_parts_are_normalised(self):
+        store = FixtureStore([{"role": "reasoner", "session_id": "s1", "segment_index": "2",
+                               "prompt_hash": prompt_sha256("p"), "text": "t"}])
+        assert store.lookup(Role.REASONER, "s1", 2, prompt_sha256("p")) == "t"
+        assert store.records()[0]["segment_index"] == 2
+
+    def test_a_miss_raises_naming_the_key(self, caption_store):
+        with pytest.raises(FixtureMissError, match=r"^no fixture for role=captioner session=s1 segment=4 "
+                                                   r"prompt_hash=[0-9a-f]{12}\.\.\.$"):
+            caption_store.lookup(Role.CAPTIONER, "s1", 4, prompt_sha256("describe"))
+
+
 def _free_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -244,6 +288,19 @@ class TestHttpBackend:
             with pytest.raises(RequestRejectedError, match="HTTP 404"):
                 backend.complete(request)
         assert len(lookups) == 1  # a permanent error is not retried
+
+    @pytest.mark.parametrize("messages", [[], [{"content": 5}], [{"role": "user"}], {"content": "describe"}])
+    def test_stub_server_400_on_a_malformed_request(self, caption_store, messages):
+        body = json.dumps({"messages": messages,
+                           "metadata": {"role": "captioner", "session_id": "s1", "segment_index": 3}})
+        with FixtureChatServer(caption_store) as server:
+            conn = http.client.HTTPConnection(server.base_url.removeprefix("http://"), timeout=5)
+            with closing(conn):
+                conn.request("POST", "/v1/chat/completions", body, {"Content-Type": "application/json"})
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+        assert response.status == 400
+        assert payload["error"]["message"].startswith("bad request: ")
 
     @pytest.mark.parametrize("status,posts", [(400, 1), (401, 1), (408, 3), (429, 3), (500, 3), (503, 3)])
     def test_only_transient_statuses_retried(self, stub_server, status, posts):

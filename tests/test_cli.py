@@ -187,6 +187,26 @@ def test_evaluate_refuses_a_line_out_of_run_order(runner, sim_tree, tmp_path):
     assert list((tmp_path / "rescored").iterdir()) == []  # no report, and no spill file left behind
 
 
+@pytest.mark.parametrize("damage,message", [
+    (lambda line: line[:45], "is not a prediction: "),  # cut short: not JSON
+    (lambda line: line.replace('"task": "activity_recognition"', '"task": "bogus"'),
+     "is not a prediction: 'bogus' is not a valid TaskKind"),
+    (lambda line: line.replace('"label": ', '"lable": '), "has no field 'label'"),
+    (lambda line: "[]", "is not a prediction: "),
+], ids=["not_json", "unknown_task", "missing_field", "not_an_object"])
+def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_path, damage, message):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    predictions = tmp_path / "report" / "predictions.jsonl"
+    lines = predictions.read_text(encoding="utf-8").splitlines()
+    lines[2] = damage(lines[2])
+    predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = runner.invoke(main, _evaluate_args(sim_tree, predictions, tmp_path / "rescored"))
+    assert result.exit_code == 2
+    assert f"Error: {predictions}: line 3 {message}" in result.output
+    assert "Traceback" not in result.output
+    assert list((tmp_path / "rescored").iterdir()) == []
+
+
 def test_evaluate_takes_the_groups_in_any_order(runner, sim_tree, tmp_path):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     run_dir = tmp_path / "report"
