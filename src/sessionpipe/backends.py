@@ -238,17 +238,13 @@ class Backend(ABC):
 class MockBackend(Backend):
     """Deterministic fixture-backed backend; identical request, identical reply.
 
-    Given a fixtures path, it parses the file on its first request, so a run
-    answered from cache never reads it. Thread-safe; keeps a call counter so
-    tests can assert cache behavior.
+    Thread-safe; keeps a call counter so tests can assert cache behavior.
     """
 
     in_process = True
 
-    def __init__(self, store: FixtureStore | str | Path, backend_id: str = "mock"):
-        if not isinstance(store, FixtureStore) and not Path(store).is_file():
-            raise FileNotFoundError(f"fixtures file not found: {store}")
-        self._store = store  # a path until the first request parses it
+    def __init__(self, store: FixtureStore, backend_id: str = "mock"):
+        self._store = store
         self.backend_id = backend_id
         self._lock = threading.Lock()
         self.call_count = 0
@@ -256,10 +252,7 @@ class MockBackend(Backend):
     def complete(self, request: BackendRequest) -> BackendResponse:
         with self._lock:
             self.call_count += 1
-            if not isinstance(self._store, FixtureStore):
-                self._store = FixtureStore.load_jsonl(self._store)
-            store = self._store
-        text = store.lookup(
+        text = self._store.lookup(
             request.role, request.session_id, request.segment_index, request.prompt_hash
         )
         return BackendResponse(text=text, latency_ms=0.0, attempt=1, backend_id=self.backend_id)

@@ -93,30 +93,14 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 @click.option("--allow-partial", is_flag=True,
               help="Exit zero even when sessions were marked invalid.")
 @click.option("--template-dir", type=_EXISTING_DIR, default=None)
-def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path, endpoint,
-                model, api_key, modes, tasks, chunk_lens, concurrency, seed, window_s, fps,
-                min_activity_duration_s, failure_threshold, allow_partial, template_dir):
+def run_command(modes, tasks, chunk_lens, allow_partial, **options):
     """Run extraction, refinement, aggregation, and evaluation."""
-    try:
+    try:  # every other option's dest is a RunConfig field
         cfg = orchestrator.RunConfig(
-            corpus_dir=corpus_dir,
-            taxonomy_path=taxonomy_path,
-            report_dir=report_dir,
-            cache_dir=cache_dir,
-            fixtures_path=fixtures_path,
-            endpoint=endpoint,
-            model=model,
-            api_key=api_key,
             modes=tuple(RefinementMode(m) for m in _parse_multi(modes, _MODE_CHOICES, "mode")),
             tasks=tuple(TaskKind(t) for t in _parse_multi(tasks, _TASK_CHOICES, "task")),
             chunk_lens=tuple(int(x) for x in chunk_lens.split(",")),
-            concurrency=concurrency,
-            seed=seed,
-            window_s=window_s,
-            fps=fps,
-            min_activity_duration_s=min_activity_duration_s,
-            failure_threshold=failure_threshold,
-            template_dir=template_dir,
+            **options,
         )
     except ValueError as exc:  # RunConfig rejects bad option values
         raise click.BadParameter(str(exc)) from None
@@ -127,7 +111,7 @@ def run_command(corpus_dir, taxonomy_path, report_dir, cache_dir, fixtures_path,
         sys.exit(2)
     except EndpointError as exc:
         raise click.BadParameter(str(exc), param_hint="--endpoint") from None
-    click.echo(f"report written to {report_dir}")
+    click.echo(f"report written to {cfg.report_dir}")
     if report["invalid_sessions"]:
         click.echo(f"invalid sessions: {', '.join(report['invalid_sessions'])}", err=True)
         if not allow_partial:
@@ -152,9 +136,18 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     run_report = predictions_path.parent / "report.json"
     if not run_report.is_file():
         raise click.BadParameter(f"no report.json next to {predictions_path}", param_hint="--predictions")
+    try:
+        run_info = json.loads(run_report.read_text(encoding="utf-8"))
+        if not isinstance(run_info, dict):
+            raise ValueError("not a JSON object")
+        if missing := [key for key in ("backend_id", "config", "invalid_sessions", "failures")
+                       if key not in run_info]:
+            raise ValueError(f"no {', '.join(missing)}")
+    except ValueError as exc:  # also a file that is not UTF-8
+        click.echo(f"Error: {run_report}: not a run's report: {exc}", err=True)
+        sys.exit(2)
     taxonomy = load_taxonomy(taxonomy_path)
     manifests = load_corpus(corpus_dir, taxonomy)
-    run_info = json.loads(run_report.read_text(encoding="utf-8"))
     with closing(orchestrator.Scorer(manifests, report_dir)) as scorer:
         try:
             scorer.read(predictions_path)

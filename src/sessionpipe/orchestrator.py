@@ -30,6 +30,7 @@ from .backends import (
     BackendError,
     BackendRequest,
     BackendResponse,
+    FixtureStore,
     GenerationParams,
     HttpBackendConfig,
     HttpChatBackend,
@@ -250,7 +251,7 @@ def _backend_id(cfg: RunConfig) -> str:
 
 def build_backend(cfg: RunConfig) -> Backend:
     if _backend_id(cfg) == "mock":
-        return MockBackend(cfg.fixtures_path)
+        return MockBackend(FixtureStore.load_jsonl(cfg.fixtures_path))
     return HttpChatBackend(HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key))
 
 
@@ -686,15 +687,16 @@ def _has_gold(manifest: SessionManifest, task: TaskKind) -> bool:
 
 
 def write_report_files(report: dict, scorer: Scorer, report_dir: Path) -> None:
-    """Write report.json, report.md and the scorer's predictions.jsonl."""
+    """Write report.json, report.md and the scorer's predictions.jsonl, each
+    replaced whole."""
     from .reporting import render_markdown
 
     report_dir = Path(report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    (report_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (report_dir / "report.md").write_text(render_markdown(report), encoding="utf-8")
+    with replacing(report_dir / "report.json") as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with replacing(report_dir / "report.md") as fh:
+        fh.write(render_markdown(report))
     scorer.write_predictions(report_dir / "predictions.jsonl")
 
 

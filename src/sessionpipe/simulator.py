@@ -30,7 +30,6 @@ from .corpus import (
     TimelineEntry,
 )
 from .orchestrator import ALL_MODES, ALL_TASKS, RunConfig, plan_extraction, plan_units, transcript_chunks
-from .parsing import MatchTier, ParsedLabel
 from .prompting import TRANSCRIPT_MODES, RefinementMode
 from .windowing import Segment, TimedUtterance
 
@@ -242,21 +241,9 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
             utterances.append(utt)
     utterances.sort(key=lambda u: u.start_s)
 
-    gold_activities = aggregation.session_activities(
-        [
-            aggregation.SegmentPrediction(
-                session_id=session_id,
-                task=TaskKind.ACTIVITY_RECOGNITION,
-                mode=RefinementMode.MULTIMODAL,
-                unit_index=seg.index,
-                start_s=seg.start_s,
-                end_s=seg.end_s,
-                label=ParsedLabel(label=label, tier=MatchTier.EXACT, raw=label),
-            )
-            for seg, label in zip(segments, true_labels)
-        ],
-        min_duration_s=aggregation.DEFAULT_MIN_ACTIVITY_DURATION_S,
-    )
+    gold = aggregation.SessionSummary()
+    for seg, label in zip(segments, true_labels):
+        gold.add({"label": label, "start_s": seg.start_s, "end_s": seg.end_s})
 
     manifest = SessionManifest(
         session_id=session_id,
@@ -265,7 +252,7 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
         video_ref=f"sim://{session_id}/video",
         audio_ref=f"sim://{session_id}/audio",
         ground_truth=GroundTruth(
-            session_activities=gold_activities,
+            session_activities=gold.activities(),
             activity_timeline=timeline,
             e1=e_flags[TaskKind.E1_OVERACTIVITY],
             e2=e_flags[TaskKind.E2_TANTRUMS],

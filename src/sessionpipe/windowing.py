@@ -24,10 +24,6 @@ class UnsupportedChunkLengthError(ValueError):
     pass
 
 
-class UnsortedUtterancesError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class TimedUtterance:
     start_s: float
@@ -72,14 +68,6 @@ class TranscriptChunk:
     end_s: float
     chunk_len_s: int
     text: str = ""
-
-    @property
-    def duration_s(self) -> float:
-        return self.end_s - self.start_s
-
-    @property
-    def midpoint_s(self) -> float:
-        return (self.start_s + self.end_s) / 2.0
 
 
 def _tile(media_duration_s: float, window_s: float) -> list[tuple[float, float]]:
@@ -155,14 +143,6 @@ def plan_transcript_chunks(
     ]
 
 
-def _check_sorted(utterances: Sequence[TimedUtterance]) -> None:
-    for prev, cur in zip(utterances, utterances[1:]):
-        if cur.start_s < prev.start_s:
-            raise UnsortedUtterancesError(
-                f"utterances not sorted by start_s: {prev.start_s} followed by {cur.start_s}"
-            )
-
-
 def fill_chunks(
     chunks: Iterable[TranscriptChunk],
     utterances: Sequence[TimedUtterance],
@@ -171,10 +151,9 @@ def fill_chunks(
 
     Each utterance goes to the chunk whose [start, end) holds its midpoint, so
     to exactly one chunk; a chunk's text is its utterances space-joined in
-    input order. Midpoints are sorted once and each chunk takes its utterances
-    by bisection.
+    input order, whatever that order is. Midpoints are sorted once and each
+    chunk takes its utterances by bisection.
     """
-    _check_sorted(utterances)
     order = sorted(range(len(utterances)), key=lambda i: utterances[i].midpoint_s)
     mids = [utterances[i].midpoint_s for i in order]
     filled = []

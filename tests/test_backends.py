@@ -96,29 +96,6 @@ class TestMockBackend:
         assert texts == {"The child stacks blocks on the rug."}
         assert backend.call_count == 64
 
-    def test_fixtures_path_loaded_on_first_request(self, caption_store, tmp_path, monkeypatch):
-        path = tmp_path / "fixtures.jsonl"
-        write_jsonl(path, caption_store.records())
-        loads = []
-        real_load = FixtureStore.load_jsonl.__func__
-        monkeypatch.setattr(
-            FixtureStore, "load_jsonl",
-            classmethod(lambda cls, p: loads.append(p) or real_load(cls, p)),
-        )
-        backend = MockBackend(path)
-        assert loads == []
-        request = BackendRequest(
-            role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v"
-        )
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            texts = set(pool.map(lambda _: backend.complete(request).text, range(16)))
-        assert texts == {"The child stacks blocks on the rug."}
-        assert loads == [path]
-
-    def test_missing_fixtures_path_fails_at_construction(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            MockBackend(tmp_path / "absent.jsonl")
-
     def test_reason_identity(self):
         store = make_store([(Role.REASONER, "s1", 0, "which label?", "conversation")])
         backend = MockBackend(store)

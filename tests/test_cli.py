@@ -1,8 +1,11 @@
+import errno
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from sessionpipe import backends
 from sessionpipe.backends import FixtureStore, write_jsonl
 from sessionpipe.cli import main
 
@@ -205,6 +208,48 @@ def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_pa
     assert f"Error: {predictions}: line 3 {message}" in result.output
     assert "Traceback" not in result.output
     assert list((tmp_path / "rescored").iterdir()) == []
+
+
+@pytest.mark.parametrize("damage,message", [
+    (lambda text: text[:40], "not a run's report: "),  # cut short: not JSON
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
+     "not a run's report: no config"),
+    (lambda text: '{"rows": []}', "not a run's report: no backend_id, config, invalid_sessions, failures"),
+], ids=["torn", "no_config", "rows_only"])
+def test_evaluate_names_a_run_report_it_cannot_read(runner, sim_tree, tmp_path, damage, message):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    run_report = tmp_path / "report" / "report.json"
+    run_report.write_text(damage(run_report.read_text(encoding="utf-8")), encoding="utf-8")
+    result = runner.invoke(main, _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl",
+                                                tmp_path / "rescored"))
+    assert result.exit_code == 2
+    assert f"Error: {run_report}: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "rescored").exists()
+
+
+def test_a_report_write_that_fails_partway_leaves_the_previous_report(runner, sim_tree, tmp_path, monkeypatch):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    report_dir = tmp_path / "report"
+    before = {p.name: p.read_bytes() for p in report_dir.iterdir() if p.is_file()}
+
+    def disk_full_midway(file, *args, **kwargs):  # report.json's text stops halfway, as on a full disk
+        fh = open(file, *args, **kwargs)
+        if Path(file).name.startswith("report.json"):
+            write = fh.write
+
+            def half(text):
+                write(text[:len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = half
+        return fh
+
+    monkeypatch.setattr(backends, "open", disk_full_midway, raising=False)
+    rerun = runner.invoke(main, _run_args(sim_tree, tmp_path, **{"--min-activity-duration-s": "48"}))
+    assert isinstance(rerun.exception, OSError) and rerun.exception.errno == errno.ENOSPC
+    assert {p.name: p.read_bytes() for p in report_dir.iterdir() if p.is_file()} == before
 
 
 def test_evaluate_takes_the_groups_in_any_order(runner, sim_tree, tmp_path):

@@ -153,8 +153,18 @@ class TestRun:
 
 class TestExecution:
     def test_warm_run_loads_no_fixtures_and_sends_nothing(self, sim_out, tmp_path, monkeypatch):
+        calls = []
+        load_jsonl = FixtureStore.load_jsonl.__func__
+        complete = MockBackend.complete
+        monkeypatch.setattr(FixtureStore, "load_jsonl", classmethod(
+            lambda cls, path: calls.append(("load_jsonl", path)) or load_jsonl(cls, path)))
+        monkeypatch.setattr(MockBackend, "complete",
+                            lambda self, request: calls.append("complete") or complete(self, request))
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
+        # cold: the fixture file is parsed once, before the first request reaches the mock
+        assert calls[0] == ("load_jsonl", sim_out.fixtures_path)
+        assert len(calls) > 1 and calls[1:] == ["complete"] * (len(calls) - 1)
         journal = cfg.cache_dir / "responses.jsonl"
 
         def state():
@@ -163,13 +173,7 @@ class TestExecution:
                     sorted(p.name for p in cfg.cache_dir.iterdir()), (cfg.report_dir / "report.json").read_bytes())
 
         before = state()
-        calls = []
-        load_jsonl = FixtureStore.load_jsonl.__func__
-        complete = MockBackend.complete
-        monkeypatch.setattr(FixtureStore, "load_jsonl", classmethod(
-            lambda cls, path: calls.append("load_jsonl") or load_jsonl(cls, path)))
-        monkeypatch.setattr(MockBackend, "complete",
-                            lambda self, request: calls.append("complete") or complete(self, request))
+        calls.clear()
         run(cfg)
         assert calls == []
         assert state() == before  # same bytes, and the journal neither rewritten nor touched
@@ -182,7 +186,7 @@ class TestExecution:
         modes, lens = (RefinementMode.TRANSCRIPT_ONLY,), (16, 64)
         sim = SimConfig(seed=0, n_sessions=1, duration_s=128.0, noise=NoiseSpec(transcript_drop_p=1.0))
         out = generate_corpus(sim, tmp_path / "sim", modes=modes, chunk_lens=lens)
-        backend = MockBackend(out.fixtures_path)
+        backend = MockBackend(FixtureStore.load_jsonl(out.fixtures_path))
         if concurrency is not None:
             backend = Remote(backend, fail=lambda request: request.segment_index == 0)
         cfg = make_config(out, tmp_path, modes=modes, chunk_lens=lens, concurrency=concurrency or 1)
@@ -210,7 +214,7 @@ class TestExecution:
         def build(cfg):
             builds.append(cfg.endpoint)
             time.sleep(0.01)  # the other pool threads reach the check meanwhile
-            return MockBackend(sim_out.fixtures_path)
+            return MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
 
         monkeypatch.setattr(orchestrator, "build_backend", build)
         cfg = make_config(sim_out, tmp_path, fixtures_path=None, endpoint="http://models.invalid", concurrency=8)
@@ -233,7 +237,7 @@ class TestExecution:
         assert report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_segmentation"] == 1.0
 
     def test_io_backend_runs_on_pool_bounded_by_concurrency(self, sim_out, tmp_path):
-        remote = Remote(MockBackend(sim_out.fixtures_path))
+        remote = Remote(MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path)))
         inline_cfg = make_config(sim_out, tmp_path / "inline")
         run(inline_cfg)
         pool_cfg = make_config(sim_out, tmp_path / "pool", concurrency=3)
@@ -260,14 +264,14 @@ class TestExecution:
         monkeypatch.setattr(orchestrator, "plan_units", counted_plan)
         monkeypatch.setattr(orchestrator, "parse_label", counted(orchestrator.parse_label))
         monkeypatch.setattr(orchestrator, "parse_binary", counted(orchestrator.parse_binary))
-        backend = MockBackend(sim_out.fixtures_path)
+        backend = MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
         run(make_config(sim_out, tmp_path, concurrency=3), backend=Remote(backend) if pooled else backend)
         assert planned[0] == parsed[0] == 6 * 20 * 5
         assert max(gaps) == (2 * 3 if pooled else 1)
 
     def test_a_raise_in_a_pool_worker_cancels_the_queued_requests(self, tmp_path):
         sim = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=320.0), tmp_path / "sim", chunk_lens=(16,))
-        remote = Remote(MockBackend(sim.fixtures_path), kill_at=50)
+        remote = Remote(MockBackend(FixtureStore.load_jsonl(sim.fixtures_path)), kill_at=50)
         cfg = make_config(sim, tmp_path, modes=ALL_MODES, concurrency=2)
         with pytest.raises(Killed):
             run(cfg, backend=remote)
@@ -356,7 +360,7 @@ class TestResponseCacheJournal:
         journal = cfg.cache_dir / "responses.jsonl"
         lines = journal.read_bytes().splitlines(keepends=True)
         journal.write_bytes(b"".join([*lines[:2], damage + b"\n", *lines[3:]]))
-        backend = MockBackend(sim_out.fixtures_path)
+        backend = MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
         with pytest.raises(orchestrator.DamagedJournalError,
                            match=rf"^{journal}: line 3 is not a JSON object with a string key and text"):
             run(cfg, backend=backend)
@@ -490,7 +494,7 @@ class TestRunConfigValidation:
             orchestrator.build_backend(cfg)
 
     def test_unsupported_chunk_len_rejected_before_any_request(self, sim_out, tmp_path):
-        backend = MockBackend(sim_out.fixtures_path)
+        backend = MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
         with pytest.raises(UnsupportedChunkLengthError):
             run(make_config(sim_out, tmp_path, chunk_lens=(16, 32)), backend=backend)
         assert backend.call_count == 0

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
 from sessionpipe.aggregation import SegmentPrediction
-from sessionpipe.backends import Backend, MockBackend, read_jsonl, write_jsonl
+from sessionpipe.backends import Backend, FixtureStore, MockBackend, read_jsonl, write_jsonl
 from sessionpipe.cli import main
 from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, write_corpus
 from sessionpipe.orchestrator import RunConfig, run
@@ -107,7 +107,7 @@ class ThreadPoolMock(Backend):
     """The mock's answers, sent as a remote backend's are: on the run's thread pool."""
 
     def __init__(self, fixtures: Path):
-        self._inner = MockBackend(fixtures)
+        self._inner = MockBackend(FixtureStore.load_jsonl(fixtures))
         self.backend_id = self._inner.backend_id
 
     def complete(self, request):
