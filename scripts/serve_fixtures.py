@@ -10,6 +10,7 @@ Lets the HTTP client path be exercised manually:
 from __future__ import annotations
 
 import argparse
+import time
 
 from sessionpipe.backends import FixtureStore
 from sessionpipe.fixture_server import FixtureChatServer
@@ -29,8 +30,6 @@ def main() -> None:
     print("Ctrl-C to stop")
     try:
         while True:
-            import time
-
             time.sleep(3600)
     except KeyboardInterrupt:
         server.stop()

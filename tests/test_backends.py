@@ -238,7 +238,6 @@ class TestHttpBackend:
 
     def test_stub_server_replays_fixtures(self, caption_store):
         with FixtureChatServer(caption_store) as server:
-            backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url))
             request = BackendRequest(
                 role=Role.CAPTIONER,
                 session_id="s1",
@@ -248,7 +247,8 @@ class TestHttpBackend:
                 frame_timestamps_s=(0.0, 1.0),
                 params=GenerationParams(seed=7),
             )
-            response = backend.complete(request)
+            with closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
+                response = backend.complete(request)
             assert response.text == "The child stacks blocks on the rug."
             assert response.attempt == 1
 
@@ -258,11 +258,10 @@ class TestHttpBackend:
         caption_store.lookup = lambda *key: lookups.append(key) or lookup(*key)
         with FixtureChatServer(caption_store) as server:
             config = HttpBackendConfig(base_url=server.base_url, max_retries=2, backoff_s=0.01)
-            backend = HttpChatBackend(config)
             request = BackendRequest(
                 role=Role.CAPTIONER, session_id="unknown", prompt="describe", segment_index=0, media_ref="v"
             )
-            with pytest.raises(RequestRejectedError, match="HTTP 404"):
+            with closing(HttpChatBackend(config)) as backend, pytest.raises(RequestRejectedError, match="HTTP 404"):
                 backend.complete(request)
         assert len(lookups) == 1  # a permanent error is not retried
 
@@ -290,8 +289,8 @@ class TestHttpBackend:
         assert len(server.requests) == posts
 
     def test_one_session_per_thread(self, caption_store):
-        with FixtureChatServer(caption_store) as server:
-            backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url))
+        with FixtureChatServer(caption_store) as server, \
+                closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
             request = BackendRequest(
                 role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v"
             )
@@ -533,6 +532,82 @@ class TestHttpConnection:
         monkeypatch.setenv("HTTP_PROXY", proxy)
         with pytest.raises(EndpointError, match="only http:// proxies"):
             HttpChatBackend(HttpBackendConfig(base_url="http://models.example:8000"))
+
+
+CAPTION = BackendRequest(role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v")
+
+
+def _caption_body() -> str:
+    return json.dumps({"messages": [{"role": "user", "content": "describe"}],
+                       "metadata": {"role": "captioner", "session_id": "s1", "segment_index": 3}})
+
+
+class TestFixtureServerConnection:
+    def test_one_connection_carries_a_threads_requests(self, caption_store):
+        with FixtureChatServer(caption_store) as server, \
+                closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
+            ports = []
+            for _ in range(3):
+                backend.complete(CAPTION)
+                assert backend._connection().sock is not None  # the server left it open
+                ports.append(backend._connection().sock.getsockname()[1])
+        assert len(set(ports)) == 1
+
+    def test_sequential_requests_are_not_held_by_delayed_acks(self, caption_store):
+        with FixtureChatServer(caption_store) as server, \
+                closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
+            backend.complete(CAPTION)
+            started = time.perf_counter()
+            for _ in range(100):
+                backend.complete(CAPTION)
+            elapsed = time.perf_counter() - started
+        assert elapsed < 2.0  # a response split across two writes waits ~40 ms each: 4 s or more
+
+    def test_stop_does_not_wait_for_a_kept_connection(self, caption_store):
+        server = FixtureChatServer(caption_store).start()
+        with closing(HttpChatBackend(HttpBackendConfig(base_url=server.base_url))) as backend:
+            backend.complete(CAPTION)
+            assert backend._connection().sock is not None
+            stopper = threading.Thread(target=server.stop, daemon=True)  # so a hang fails, not blocks
+            stopper.start()
+            stopper.join(timeout=3)
+            assert not stopper.is_alive()
+
+    def test_an_unknown_paths_body_does_not_spill_into_the_next_request(self, caption_store):
+        with FixtureChatServer(caption_store) as server:
+            conn = http.client.HTTPConnection(server.base_url.removeprefix("http://"), timeout=5)
+            with closing(conn):
+                answers = []
+                for path in ("/wrong", "/v1/chat/completions"):
+                    conn.request("POST", path, _caption_body(), {"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    answers.append((response.status, json.loads(response.read()), conn.sock.getsockname()[1]))
+        [(missed, error, port), (status, payload, again)] = answers
+        assert (missed, error) == (404, {"error": {"message": "unknown path /wrong"}})
+        assert status == 200
+        assert payload["choices"][0]["message"]["content"] == "The child stacks blocks on the rug."
+        assert port == again  # the 200 came on the connection that carried the 404's body
+
+    @pytest.mark.parametrize("length", ["x", "-1", "1.5", "", None])  # None: a chunked body
+    def test_a_body_of_unknown_length_closes_the_connection(self, caption_store, length):
+        with FixtureChatServer(caption_store) as server:
+            conn = http.client.HTTPConnection(server.base_url.removeprefix("http://"), timeout=5)
+            with closing(conn):
+                if length is None:  # in one send, as the other bodies go, so it all arrives before the close
+                    body = _caption_body().encode()
+                    chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+                    conn.request("POST", "/v1/chat/completions", chunked, {"Transfer-Encoding": "chunked"})
+                else:
+                    conn.request("POST", "/v1/chat/completions", _caption_body(), {"Content-Length": length})
+                rejected = conn.getresponse()
+                error = json.loads(rejected.read())
+                assert rejected.will_close and conn.sock is None
+                conn.request("POST", "/v1/chat/completions", _caption_body())  # reconnects
+                accepted = conn.getresponse()
+                accepted.read()
+        assert rejected.status == 400
+        assert error == {"error": {"message": "bad request: a body needs a decimal Content-Length"}}
+        assert accepted.status == 200
 
 
 @pytest.fixture
