@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .corpus import ACTIVITY_TASKS, E_TASKS, TaskKind
 from .parsing import MatchTier, ParsedBinary, ParsedLabel
@@ -85,17 +85,6 @@ class SegmentPrediction:
         )
 
 
-def _check_single_group(preds: Sequence[SegmentPrediction]) -> None:
-    sessions = {p.session_id for p in preds}
-    modes = {p.mode for p in preds}
-    tasks = {p.task for p in preds}
-    if len(sessions) > 1 or len(modes) > 1 or len(tasks) > 1:
-        raise MixedSessionsError(
-            f"predictions span sessions={sorted(sessions)} modes={sorted(m.value for m in modes)} "
-            f"tasks={sorted(t.value for t in tasks)}"
-        )
-
-
 @dataclass(slots=True)
 class SessionSummary:
     """All that scoring needs of one session's windows for one (mode, chunk
@@ -131,46 +120,24 @@ class SessionSummary:
         return self.present / self.windows
 
 
-def _summarize(preds: Iterable[SegmentPrediction]) -> SessionSummary:
-    summary = SessionSummary()
-    for pred in preds:
-        summary.add(pred.to_record())
-    return summary
-
-
-def session_activities(
-    preds: Sequence[SegmentPrediction],
-    min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S,
-) -> frozenset[str]:
-    """Labels whose predicted windows total at least min_duration_s seconds.
-
-    Unknown predictions never contribute. With uniform 16 s windows and the
-    default threshold this reduces to "predicted in at least 6 windows".
-    """
-    _check_single_group(preds)
-    return _summarize(preds).activities(min_duration_s)
-
-
-def abnormal_ratio(preds: Sequence[SegmentPrediction]) -> float:
-    """Fraction of windows predicted Presence; Unknown counts as Absence."""
-    if not preds:
-        raise EmptySessionError("cannot score an empty prediction list")
-    _check_single_group(preds)
-    return _summarize(preds).ratio
-
-
 def lift_session(
     preds: Sequence[SegmentPrediction],
     min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S,
 ) -> frozenset[str] | float:
-    """One session's decision from its window predictions: the activity set
-    for recognition, the Presence ratio for E1-E3. Segmentation is scored per
-    segment and has no session lift."""
+    """One session's decision from its window predictions: for recognition, the
+    labels whose windows total at least min_duration_s seconds (with 16 s windows
+    and the default threshold, "predicted in at least 6 windows"); for E1-E3, the
+    fraction of windows predicted Presence. Unknown predictions count toward no
+    label and as Absence. Segmentation is scored per segment and has no session lift."""
     if not preds:
         raise EmptySessionError("cannot lift an empty prediction list")
+    groups = {(p.session_id, p.mode.value, p.task.value) for p in preds}
+    if len(groups) > 1:
+        raise MixedSessionsError(f"predictions span more than one (session, mode, task): {sorted(groups)}")
     task = preds[0].task
     if task is TaskKind.ACTIVITY_SEGMENTATION:
         raise ValueError("segmentation is evaluated per segment, not lifted per session")
-    if task is TaskKind.ACTIVITY_RECOGNITION:
-        return session_activities(preds, min_duration_s)
-    return abnormal_ratio(preds)
+    summary = SessionSummary()
+    for pred in preds:
+        summary.add(pred.to_record())
+    return summary.activities(min_duration_s) if task is TaskKind.ACTIVITY_RECOGNITION else summary.ratio

@@ -91,11 +91,13 @@ def prompt_sha256(prompt: str) -> str:
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class GenerationParams:
-    temperature: float = 0.0
-    max_tokens: int = 256
-    seed: int | None = None
+# every request is decoded the same way; cache keys name these, so changing one renames the journal
+TEMPERATURE = 0.0
+MAX_TOKENS = 256
+# the HTTP client's wire settings
+TIMEOUT_S = 60.0
+MAX_RETRIES = 2
+BACKOFF_S = 0.25
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,7 +108,7 @@ class BackendRequest:
     segment_index: int | None = None
     media_ref: str | None = None
     frame_timestamps_s: tuple[float, ...] | None = None
-    params: GenerationParams = field(default_factory=GenerationParams)
+    seed: int | None = None
     # hashed once here; cache keys, cache records and fixture lookups all read it
     prompt_hash: str = field(init=False, repr=False, compare=False)
 
@@ -198,14 +200,6 @@ class FixtureStore:
     def __len__(self) -> int:
         return len(self._texts)
 
-    def records(self) -> list[dict[str, Any]]:
-        """The fixture records, in the order their keys were first added."""
-        return [
-            {"role": role, "session_id": session_id, "segment_index": seg,
-             "prompt_hash": prompt_hash, "text": text}
-            for (role, session_id, seg, prompt_hash), text in self._texts.items()
-        ]
-
     def lookup(self, role: Role, session_id: str, segment_index: int | None, prompt_hash: str) -> str:
         key = (role.value, session_id, segment_index, prompt_hash)
         try:
@@ -243,9 +237,10 @@ class MockBackend(Backend):
 
     in_process = True
 
-    def __init__(self, store: FixtureStore, backend_id: str = "mock"):
+    backend_id = "mock"
+
+    def __init__(self, store: FixtureStore):
         self._store = store
-        self.backend_id = backend_id
         self._lock = threading.Lock()
         self.call_count = 0
 
@@ -256,16 +251,6 @@ class MockBackend(Backend):
             request.role, request.session_id, request.segment_index, request.prompt_hash
         )
         return BackendResponse(text=text, latency_ms=0.0, attempt=1, backend_id=self.backend_id)
-
-
-@dataclass(frozen=True)
-class HttpBackendConfig:
-    base_url: str
-    model: str = "local-model"
-    api_key: str | None = None
-    timeout_s: float = 60.0
-    max_retries: int = 2
-    backoff_s: float = 0.25
 
 
 def parse_retry_after(value: str | None, now: float) -> float | None:
@@ -320,7 +305,7 @@ class HttpChatBackend(Backend):
     user message. Session/segment/media context rides in a ``metadata`` object
     that standard servers ignore and fixture-replay servers key on. Timeouts,
     connection errors, 408, 429 and 5xx answers retry with exponential backoff
-    up to max_retries; a 429 or 503 with a valid ``Retry-After`` waits that long
+    up to MAX_RETRIES; a 429 or 503 with a valid ``Retry-After`` waits that long
     instead, capped at the longest backoff. Any 3xx (redirects are not followed)
     or other 4xx fails at once.
 
@@ -331,13 +316,13 @@ class HttpChatBackend(Backend):
     ``close()`` closed it. Cookies the server sets are not kept.
     """
 
-    def __init__(self, config: HttpBackendConfig, backend_id: str | None = None):
-        self.config = config
-        self.backend_id = backend_id if backend_id is not None else f"http:{config.model}"
+    def __init__(self, base_url: str, model: str = "local-model", api_key: str | None = None):
+        self.model = model
+        self.backend_id = f"http:{model}"
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []  # one per thread; close() closes them
         self._connections_lock = threading.Lock()
-        url = f"{config.base_url.rstrip('/')}/v1/chat/completions"
+        url = f"{base_url.rstrip('/')}/v1/chat/completions"
         with requests.Session() as session:
             try:
                 # default headers, plus .netrc auth when the environment has an entry for the host
@@ -351,8 +336,8 @@ class HttpChatBackend(Backend):
             env = session.merge_environment_settings(url, {}, None, None, None)
         self._headers = dict(prepared.headers)  # Content-Length is set per request
         self._headers["Accept-Encoding"] = "gzip, deflate"  # the codings _decoded reads
-        if config.api_key:
-            self._headers["Authorization"] = f"Bearer {config.api_key}"
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
         endpoint = urlsplit(prepared.url)
         tls = endpoint.scheme == "https"
         address = (endpoint.hostname, endpoint.port or (443 if tls else 80))
@@ -370,14 +355,14 @@ class HttpChatBackend(Backend):
                 self._headers.update(adapter.proxy_headers(proxy))
                 self._target = requests.utils.urldefragauth(prepared.url)
             address = (via.hostname, via.port or 80)
-        self._connect = functools.partial(http.client.HTTPConnection, *address, timeout=config.timeout_s)
+        self._connect = functools.partial(http.client.HTTPConnection, *address, timeout=TIMEOUT_S)
         if tls:  # through a tunnel too: TLS runs with the endpoint, inside it
             try:
                 context = tls_context(env["verify"])
             except OSError as exc:
                 raise EndpointError(f"CA bundle {env['verify']}: {exc}") from None
             self._connect = functools.partial(
-                http.client.HTTPSConnection, *address, timeout=config.timeout_s, context=context
+                http.client.HTTPSConnection, *address, timeout=TIMEOUT_S, context=context
             )
 
     def _connection(self) -> http.client.HTTPConnection:
@@ -400,10 +385,10 @@ class HttpChatBackend(Backend):
 
     def _body(self, request: BackendRequest) -> bytes:
         body: dict[str, Any] = {
-            "model": self.config.model,
+            "model": self.model,
             "messages": [{"role": "user", "content": request.prompt}],
-            "temperature": request.params.temperature,
-            "max_tokens": request.params.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
             "metadata": {
                 "role": request.role.value,
                 "session_id": request.session_id,
@@ -416,8 +401,8 @@ class HttpChatBackend(Backend):
                 ),
             },
         }
-        if request.params.seed is not None:
-            body["seed"] = request.params.seed
+        if request.seed is not None:
+            body["seed"] = request.seed
         # the bytes requests sends for json=body
         return json.dumps(body, allow_nan=False).encode("utf-8")
 
@@ -457,23 +442,23 @@ class HttpChatBackend(Backend):
             raise MalformedResponseError(f"unexpected response body: {data.decode('utf-8', 'replace')[:200]}")
         return content
 
-    def _backoff_s(self, attempt: int, error: BackendError) -> float:
-        longest = self.config.backoff_s * 2 ** (self.config.max_retries - 1)
+    @staticmethod
+    def _backoff_s(attempt: int, error: BackendError) -> float:
         if isinstance(error, TransportError) and error.retry_after_s is not None:
-            return min(error.retry_after_s, longest)
-        return self.config.backoff_s * 2 ** (attempt - 1)
+            return min(error.retry_after_s, BACKOFF_S * 2 ** (MAX_RETRIES - 1))
+        return BACKOFF_S * 2 ** (attempt - 1)
 
     def complete(self, request: BackendRequest) -> BackendResponse:
         body = self._body(request)
         started = time.perf_counter()
-        attempts = self.config.max_retries + 1
+        attempts = MAX_RETRIES + 1
         last_error: BackendError | None = None
         for attempt in range(1, attempts + 1):
             try:
                 text = self._post_once(body)
             except (BackendTimeoutError, TransportError) as exc:
                 last_error = exc
-                if attempt <= self.config.max_retries:
+                if attempt <= MAX_RETRIES:
                     time.sleep(self._backoff_s(attempt, exc))
                 continue
             latency_ms = (time.perf_counter() - started) * 1000.0

@@ -20,6 +20,10 @@ _RUN_DEFAULTS = orchestrator.RunConfig  # the run options default to its field d
 # inputs that must exist: a missing one exits 2 with a message naming its option
 _EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
 _EXISTING_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+# what a run's report.json holds, and what of its config evaluate_predictions reads
+_REPORT_KEYS = ("schema_version", "backend_id", "taxonomy", "taxonomy_labels", "config", "rows",
+                "invalid_sessions", "failures")
+_SCORING_KEYS = ("modes", "tasks", "chunk_lens", "min_activity_duration_s")
 
 
 @click.group()
@@ -103,7 +107,8 @@ def run_command(modes, tasks, chunk_lens, allow_partial, **options):
             **options,
         )
     except ValueError as exc:  # RunConfig rejects bad option values
-        raise click.BadParameter(str(exc)) from None
+        hint = f"--{exc.field.replace('_', '-')}" if isinstance(exc, orchestrator.BadSettingError) else None
+        raise click.BadParameter(str(exc), param_hint=hint) from None
     try:
         report = orchestrator.run(cfg)
     except orchestrator.DamagedJournalError as exc:
@@ -136,16 +141,7 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     run_report = predictions_path.parent / "report.json"
     if not run_report.is_file():
         raise click.BadParameter(f"no report.json next to {predictions_path}", param_hint="--predictions")
-    try:
-        run_info = json.loads(run_report.read_text(encoding="utf-8"))
-        if not isinstance(run_info, dict):
-            raise ValueError("not a JSON object")
-        if missing := [key for key in ("backend_id", "config", "invalid_sessions", "failures")
-                       if key not in run_info]:
-            raise ValueError(f"no {', '.join(missing)}")
-    except ValueError as exc:  # also a file that is not UTF-8
-        click.echo(f"Error: {run_report}: not a run's report: {exc}", err=True)
-        sys.exit(2)
+    run_info = _read_run_report(run_report)
     taxonomy = load_taxonomy(taxonomy_path)
     manifests = load_corpus(corpus_dir, taxonomy)
     with closing(orchestrator.Scorer(manifests, report_dir)) as scorer:
@@ -159,16 +155,41 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     click.echo(f"report written to {report_dir}")
 
 
+def _read_run_report(path: Path) -> dict:
+    """A run's report.json, with every top-level key and the scoring settings
+    of its config; anything else exits 2, naming the file."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError("not a JSON object")
+        if missing := [key for key in _REPORT_KEYS if key not in doc]:
+            raise ValueError(f"no {', '.join(missing)}")
+        config = doc["config"]
+        if missing := [key for key in _SCORING_KEYS if key not in config]:
+            raise ValueError(f"its config has no {', '.join(missing)}")
+        for mode in config["modes"]:
+            RefinementMode(mode)
+        for task in config["tasks"]:
+            TaskKind(task)
+        windowing.check_chunk_lengths(config["chunk_lens"])
+        if type(config["min_activity_duration_s"]) not in (int, float):
+            raise ValueError(f"min_activity_duration_s {config['min_activity_duration_s']!r} is not a number")
+    except (ValueError, TypeError) as exc:  # also a file that is not UTF-8, or a config that is no object
+        click.echo(f"Error: {path}: not a run's report: {exc}", err=True)
+        sys.exit(2)
+    return doc
+
+
 @main.command(name="report")
-@click.option("--report-json", type=click.Path(path_type=Path), required=True)
+@click.option("--report-json", type=_EXISTING_FILE, required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
               help="Markdown output path; defaults next to report.json.")
 def report_command(report_json, out_path):
     """Re-render report.md from an existing report.json."""
     from .reporting import render_markdown
 
-    doc = json.loads(Path(report_json).read_text(encoding="utf-8"))
-    out_path = out_path if out_path is not None else Path(report_json).with_name("report.md")
+    doc = _read_run_report(report_json)
+    out_path = out_path if out_path is not None else report_json.with_name("report.md")
     Path(out_path).write_text(render_markdown(doc), encoding="utf-8")
     click.echo(f"wrote {out_path}")
 

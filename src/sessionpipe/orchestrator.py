@@ -31,11 +31,11 @@ from .backends import (
     BackendRequest,
     BackendResponse,
     FixtureStore,
-    GenerationParams,
-    HttpBackendConfig,
     HttpChatBackend,
+    MAX_TOKENS,
     MockBackend,
     SORTED_JSON,
+    TEMPERATURE,
     Role,
     parse_utterances_json,
     read_jsonl,
@@ -65,16 +65,23 @@ ALL_MODES = tuple(RefinementMode)
 ALL_TASKS = tuple(TaskKind)
 
 JOURNAL_NAME = "responses.jsonl"  # stands for cache_key's schema: rename it when the key changes
+_DECODING = f"temperature={TEMPERATURE!r};max_tokens={MAX_TOKENS};seed="
 
 
 def cache_key(backend_id: str, request: BackendRequest) -> str:
     """The address of a request's answer: backend (which names the model), role,
     session, segment, prompt and generation parameters, in canonical form."""
-    p = request.params
-    params = f"temperature={float(p.temperature)!r};max_tokens={int(p.max_tokens)};seed={p.seed}"
     parts = "\x1f".join([backend_id, request.role.value, request.session_id, str(request.segment_index),
-                         request.prompt_hash, params])
+                         request.prompt_hash, f"{_DECODING}{request.seed}"])
     return hashlib.sha256(parts.encode("utf-8")).hexdigest()
+
+
+class BadSettingError(ValueError):
+    """A RunConfig field set to a value no run can use; ``field`` names it."""
+
+    def __init__(self, field: str, rule: str, value: Any):
+        super().__init__(f"{field} must be {rule}, not {value!r}")
+        self.field = field
 
 
 @dataclass
@@ -114,8 +121,15 @@ class RunConfig:
             raise ValueError("need at least one mode and one task")
         if TRANSCRIPT_MODES & set(self.modes) and not self.chunk_lens:
             raise ValueError("chunk_lens must be non-empty for transcript-using modes")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        for name, valid, rule in (  # written so that NaN is out of range too
+            ("concurrency", self.concurrency >= 1, ">= 1"),
+            ("window_s", self.window_s > 0, "> 0"),
+            ("fps", self.fps > 0, "> 0"),
+            ("failure_threshold", 0 <= self.failure_threshold <= 1, "in [0, 1]"),
+            ("min_activity_duration_s", self.min_activity_duration_s >= 0, ">= 0"),
+        ):
+            if not valid:
+                raise BadSettingError(name, rule, getattr(self, name))
         windowing.check_chunk_lengths(self.chunk_lens)
 
 
@@ -252,7 +266,7 @@ def _backend_id(cfg: RunConfig) -> str:
 def build_backend(cfg: RunConfig) -> Backend:
     if _backend_id(cfg) == "mock":
         return MockBackend(FixtureStore.load_jsonl(cfg.fixtures_path))
-    return HttpChatBackend(HttpBackendConfig(base_url=cfg.endpoint, model=cfg.model, api_key=cfg.api_key))
+    return HttpChatBackend(cfg.endpoint, cfg.model, cfg.api_key)
 
 
 class _BuiltOnFirstRequest(Backend):
@@ -297,11 +311,10 @@ def _chunk_options(mode: RefinementMode, chunk_lens: Sequence[int]) -> Sequence[
     return chunk_lens if mode in TRANSCRIPT_MODES else (None,)
 
 
-def _caption_request(manifest: SessionManifest, seg: Segment, prompt: str,
-                     params: GenerationParams) -> BackendRequest:
+def _caption_request(manifest: SessionManifest, seg: Segment, prompt: str, seed: int | None) -> BackendRequest:
     return BackendRequest(
         role=Role.CAPTIONER, session_id=manifest.session_id, prompt=prompt, segment_index=seg.index,
-        media_ref=manifest.video_ref, frame_timestamps_s=seg.frame_timestamps_s, params=params,
+        media_ref=manifest.video_ref, frame_timestamps_s=seg.frame_timestamps_s, seed=seed,
     )
 
 
@@ -309,17 +322,17 @@ def plan_extraction(
     manifest: SessionManifest,
     segments: Sequence[Segment],
     modes: Sequence[RefinementMode],
-    params: GenerationParams,
+    seed: int | None,
 ) -> list[BackendRequest]:
     """The caption (one per segment) and transcript requests of one session."""
     requests = []
     if CAPTION_MODES & set(modes):
-        requests.extend(_caption_request(manifest, seg, DESCRIPTION_PROMPT, params) for seg in segments)
+        requests.extend(_caption_request(manifest, seg, DESCRIPTION_PROMPT, seed) for seg in segments)
     if TRANSCRIPT_MODES & set(modes):
         requests.append(
             BackendRequest(
                 role=Role.TRANSCRIBER, session_id=manifest.session_id, prompt=TRANSCRIPTION_PROMPT,
-                segment_index=None, media_ref=manifest.audio_ref, params=params,
+                segment_index=None, media_ref=manifest.audio_ref, seed=seed,
             )
         )
     return requests
@@ -377,7 +390,7 @@ def plan_units(
     chunk_lens: Sequence[int],
     taxonomy: ActivityTaxonomy,
     templates: dict[str, str] | None,
-    params: GenerationParams,
+    seed: int | None,
 ) -> Iterator[PlannedUnit]:
     """Every task request of one session, by mode, chunk length, task, window,
     planned one at a time as they are read.
@@ -397,12 +410,12 @@ def plan_units(
                     prompt = build_task_prompt(mode, task, None, None, taxonomy, templates)
                 for window, caption, transcript in windows:
                     if mode is RefinementMode.ZERO_SHOT:
-                        request = _caption_request(manifest, window, prompt, params)
+                        request = _caption_request(manifest, window, prompt, seed)
                     else:
                         request = BackendRequest(
                             role=Role.REASONER, session_id=manifest.session_id,
                             prompt=build_task_prompt(mode, task, caption, transcript, taxonomy, templates),
-                            segment_index=window.index, params=params,
+                            segment_index=window.index, seed=seed,
                         )
                     yield PlannedUnit(task, mode, chunk_len, window, request, caption, transcript)
 
@@ -505,7 +518,6 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     if backend is None:
         backend = _BuiltOnFirstRequest(cfg)
     cache = ResponseCache(cfg.cache_dir)
-    params = GenerationParams(seed=cfg.seed)
 
     by_id = {m.session_id: m for m in manifests}
     segments = {
@@ -532,7 +544,7 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     # phase 1: modality content extraction; each phase covers every session,
     # so a live endpoint does not idle at session boundaries
     extraction = ((request, request) for m in manifests
-                  for request in plan_extraction(m, segments[m.session_id], cfg.modes, params))
+                  for request in plan_extraction(m, segments[m.session_id], cfg.modes, cfg.seed))
     with closing(_fetch(backend, cache, cfg.concurrency, extraction)) as extracted:
         for request, _, answer in extracted:
             sid = request.session_id
@@ -547,7 +559,7 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
     # phase 2: task prompts per mode, every session, planned as they are sent
     units = ((unit, unit.request) for m in manifests
              for unit in plan_units(m, segments[m.session_id], captions[m.session_id], chunks[m.session_id],
-                                    cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, params))
+                                    cfg.modes, cfg.tasks, cfg.chunk_lens, taxonomy, templates, cfg.seed))
     scorer = Scorer(manifests, cfg.report_dir)
     with closing(scorer), closing(_fetch(backend, cache, cfg.concurrency, units)) as answered:
         for unit, key, answer in answered:

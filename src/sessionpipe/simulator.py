@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import aggregation, corpus, metrics, windowing
-from .backends import BackendRequest, GenerationParams, Role, utterances_to_json, write_jsonl
+from .backends import BackendRequest, Role, utterances_to_json, write_jsonl
 from .corpus import (
     ACTIVITY_TASKS,
     E_TASKS,
@@ -300,14 +300,13 @@ def _session_fixtures(
 ) -> list[dict]:
     """Answer every request a run with these modes, tasks and chunk lengths
     sends for the session, in the run's plan order."""
-    params = GenerationParams()
     records: list[dict] = []
 
     def add(request: BackendRequest, text: str) -> None:
         records.append({"role": request.role.value, "session_id": request.session_id, "text": text,
                         "segment_index": request.segment_index, "prompt_hash": request.prompt_hash})
 
-    for request in plan_extraction(world.manifest, world.segments, modes, params):
+    for request in plan_extraction(world.manifest, world.segments, modes, seed=None):
         if request.role is Role.CAPTIONER:
             add(request, world.captions[request.segment_index])
         else:
@@ -316,7 +315,7 @@ def _session_fixtures(
     chunks = transcript_chunks(world.manifest, world.utterances, chunk_lens) if TRANSCRIPT_MODES & set(modes) else {}
     captions = dict(enumerate(world.captions))
     for unit in plan_units(world.manifest, world.segments, captions, chunks, modes, tasks,
-                           chunk_lens, SIM_TAXONOMY, None, params):
+                           chunk_lens, SIM_TAXONOMY, templates=None, seed=None):
         index = unit.window.index
         if unit.mode is RefinementMode.ZERO_SHOT:  # the captioner answers from the video
             if unit.task in ACTIVITY_TASKS:

@@ -119,7 +119,7 @@ def check_chunk_lengths(chunk_lens: Iterable[int]) -> None:
     for length in chunk_lens:
         if length not in SUPPORTED_CHUNK_LENGTHS:
             raise UnsupportedChunkLengthError(
-                f"chunk length must be one of {SUPPORTED_CHUNK_LENGTHS}, got {length}"
+                f"chunk length must be one of {SUPPORTED_CHUNK_LENGTHS}, got {length!r}"
             )
 
 

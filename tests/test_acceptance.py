@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
-from sessionpipe.aggregation import SegmentPrediction, session_activities
-from sessionpipe.backends import FixtureStore, HttpBackendConfig, HttpChatBackend, MockBackend
+from sessionpipe.aggregation import SegmentPrediction, lift_session
+from sessionpipe.backends import FixtureStore, HttpChatBackend, MockBackend
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
@@ -130,7 +130,7 @@ def test_aggregation_threshold_law():
             )
             for i in range(count)
         ]
-        included = bool(preds) and "toy play" in session_activities(preds)
+        included = bool(preds) and "toy play" in lift_session(preds)
         assert included == (count >= 6), f"count={count}"
 
 
@@ -287,14 +287,13 @@ def test_wire_protocol_conformance(tmp_path):
             modes=modes, tasks=tasks, chunk_lens=chunk_lens, concurrency=8,
         )
 
-    mock = MockBackend(store, backend_id="fixture")
+    mock = MockBackend(store)
     orchestrator.run(config("report-mock"), backend=mock)
 
     with FixtureChatServer(store) as server:
-        http_backend = HttpChatBackend(
-            HttpBackendConfig(base_url=server.base_url, model="fixture-replay"),
-            backend_id="fixture",
-        )
+        http_backend = HttpChatBackend(server.base_url, model="fixture-replay")
+        # the backend id names the model in cache keys and reports: the same one makes them comparable
+        http_backend.backend_id = mock.backend_id
         orchestrator.run(config("report-http"), backend=http_backend)
 
     mock_report = (tmp_path / "report-mock" / "report.json").read_bytes()

@@ -8,8 +8,7 @@ from sessionpipe.aggregation import (
     EmptySessionError,
     MixedSessionsError,
     SegmentPrediction,
-    abnormal_ratio,
-    session_activities,
+    lift_session,
 )
 from sessionpipe.corpus import TaskKind
 from sessionpipe.parsing import MatchTier, ParsedBinary, ParsedLabel
@@ -50,12 +49,12 @@ class TestSessionActivities:
     def test_96_seconds_in_80_out(self):
         six = [label_pred(i, "manipulatives") for i in range(6)]
         five = [label_pred(i, "manipulatives") for i in range(5)]
-        assert session_activities(six) == {"manipulatives"}
-        assert session_activities(five) == frozenset()
+        assert lift_session(six) == {"manipulatives"}
+        assert lift_session(five) == frozenset()
 
     def test_all_unknown_is_empty(self):
         preds = [label_pred(i, None) for i in range(10)]
-        assert session_activities(preds) == frozenset()
+        assert lift_session(preds) == frozenset()
 
     def test_tail_segment_duration_counts(self):
         # 5 full 16 s segments + one 10 s kept tail = exactly 90 s
@@ -71,44 +70,44 @@ class TestSessionActivities:
                 label=ParsedLabel(label="toy play", tier=MatchTier.EXACT, raw="toy play"),
             )
         )
-        assert session_activities(preds) == {"toy play"}
+        assert lift_session(preds) == {"toy play"}
 
     def test_mixed_sessions_rejected(self):
         preds = [label_pred(0, "a toy", session_id="s1"), label_pred(1, "a toy", session_id="s2")]
         with pytest.raises(MixedSessionsError):
-            session_activities(preds)
+            lift_session(preds)
 
     def test_threshold_configurable(self):
         preds = [label_pred(0, "toy play")]
-        assert session_activities(preds, min_duration_s=16.0) == {"toy play"}
+        assert lift_session(preds, min_duration_s=16.0) == {"toy play"}
 
     @pytest.mark.parametrize("count", range(11))
     def test_threshold_law_for_16s_segments(self, count):
         preds = [label_pred(i, "toy play") for i in range(count)]
-        included = "toy play" in session_activities(preds) if preds else False
+        included = bool(preds) and "toy play" in lift_session(preds)
         assert included == (count >= 6)
 
 
 class TestAbnormalRatio:
     def test_three_of_ten(self):
         preds = [binary_pred(i, i < 3) for i in range(10)]
-        assert abnormal_ratio(preds) == pytest.approx(0.3)
+        assert lift_session(preds) == pytest.approx(0.3)
 
     def test_zero_presence(self):
         preds = [binary_pred(i, False) for i in range(7)]
-        assert abnormal_ratio(preds) == 0.0
+        assert lift_session(preds) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySessionError):
-            abnormal_ratio([])
+            lift_session([])
 
     def test_unknown_counts_as_absence(self):
         preds = [binary_pred(0, True), binary_pred(1, None), binary_pred(2, None)]
-        assert abnormal_ratio(preds) == pytest.approx(1 / 3)
+        assert lift_session(preds) == pytest.approx(1 / 3)
 
     def test_result_in_unit_interval(self):
         preds = [binary_pred(i, bool(i % 2)) for i in range(9)]
-        assert 0.0 <= abnormal_ratio(preds) <= 1.0
+        assert 0.0 <= lift_session(preds) <= 1.0
 
 
 @given(
@@ -120,23 +119,23 @@ def test_permutation_invariance(labels, seed):
     preds = [label_pred(i, label) for i, label in enumerate(labels)]
     shuffled = preds[:]
     random.Random(seed).shuffle(shuffled)
-    assert session_activities(preds) == session_activities(shuffled)
+    assert lift_session(preds) == lift_session(shuffled)
 
     flags = [label is not None for label in labels]
     bpreds = [binary_pred(i, flag) for i, flag in enumerate(flags)]
     bshuffled = bpreds[:]
     random.Random(seed).shuffle(bshuffled)
-    assert abnormal_ratio(bpreds) == abnormal_ratio(bshuffled)
+    assert lift_session(bpreds) == lift_session(bshuffled)
 
 
 @given(labels=st.lists(st.sampled_from(["a toy", "b toy", None]), min_size=1, max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_flipping_one_segment_only_grows_that_label(labels):
     preds = [label_pred(i, label) for i, label in enumerate(labels)]
-    base = session_activities(preds)
+    base = lift_session(preds)
     flipped = preds[:]
     flipped[0] = label_pred(0, "b toy")
-    after = session_activities(flipped)
+    after = lift_session(flipped)
     # only membership of the two affected labels may change
     assert base - {"a toy", "b toy", None} == after - {"a toy", "b toy", None}
     if "b toy" in base:
@@ -145,29 +144,20 @@ def test_flipping_one_segment_only_grows_that_label(labels):
 
 class TestLiftSession:
     def test_recognition_lift_carries_activity_set(self):
-        from sessionpipe.aggregation import lift_session
-
         lifted = lift_session([label_pred(i, "toy play") for i in range(6)])
         assert lifted == frozenset({"toy play"})
 
     def test_binary_lift_carries_score(self):
-        from sessionpipe.aggregation import lift_session
-
         lifted = lift_session([binary_pred(i, i == 0) for i in range(4)])
         assert lifted == pytest.approx(0.25)
 
     def test_empty_and_mixed_input_rejected(self):
-        from sessionpipe.aggregation import lift_session
-
         with pytest.raises(EmptySessionError):
             lift_session([])
         with pytest.raises(MixedSessionsError):
             lift_session([binary_pred(0, True), binary_pred(1, True, session_id="s2")])
 
     def test_segmentation_has_no_session_lift(self):
-        from sessionpipe.aggregation import lift_session
-        from sessionpipe.parsing import MatchTier, ParsedLabel
-
         pred = SegmentPrediction(
             session_id="s1",
             task=TaskKind.ACTIVITY_SEGMENTATION,

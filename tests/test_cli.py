@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from sessionpipe import backends
-from sessionpipe.backends import FixtureStore, write_jsonl
+from sessionpipe.backends import read_jsonl, write_jsonl
 from sessionpipe.cli import main
 
 
@@ -43,8 +43,8 @@ def _run_args(sim_tree, tmp_path, **extra):
 
 def _holey_run_args(sim_tree, tmp_path):
     # fixtures without sim-001's reasoner answers, so a run marks sim-001 invalid
-    store = FixtureStore.load_jsonl(sim_tree / "fixtures.jsonl")
-    kept = [r for r in store.records() if not (r["session_id"] == "sim-001" and r["role"] == "reasoner")]
+    kept = [r for r in read_jsonl(sim_tree / "fixtures.jsonl")
+            if not (r["session_id"] == "sim-001" and r["role"] == "reasoner")]
     write_jsonl(tmp_path / "holey.jsonl", kept)
     return _run_args(sim_tree, tmp_path, **{"--fixtures": str(tmp_path / "holey.jsonl")})
 
@@ -109,11 +109,15 @@ def test_run_rejects_an_endpoint_no_request_can_reach(runner, sim_tree, tmp_path
 @pytest.mark.parametrize("command,option", [
     ("run", "--corpus"), ("run", "--taxonomy"), ("run", "--fixtures"), ("run", "--template-dir"),
     ("evaluate", "--corpus"), ("evaluate", "--taxonomy"), ("evaluate", "--predictions"),
+    ("report", "--report-json"),
 ])
 def test_a_missing_input_path_names_its_option(runner, sim_tree, tmp_path, command, option):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     if command == "run":
         args = _run_args(sim_tree, tmp_path / "again", **{"--template-dir": str(tmp_path)})
+    elif command == "report":
+        args = ["report", "--report-json", str(tmp_path / "report" / "report.json"),
+                "--out", str(tmp_path / "rescored")]
     else:
         args = _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl", tmp_path / "rescored")
     args[args.index(option) + 1] = str(tmp_path / "absent")
@@ -210,12 +214,33 @@ def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_pa
     assert list((tmp_path / "rescored").iterdir()) == []
 
 
-@pytest.mark.parametrize("damage,message", [
+def _with_config(text, **changes):
+    doc = json.loads(text)
+    doc["config"] = {k: v for k, v in {**doc["config"], **changes}.items() if v is not None}
+    return json.dumps(doc)
+
+
+BAD_RUN_REPORTS = pytest.mark.parametrize("damage,message", [
     (lambda text: text[:40], "not a run's report: "),  # cut short: not JSON
     (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "config"}),
      "not a run's report: no config"),
-    (lambda text: '{"rows": []}', "not a run's report: no backend_id, config, invalid_sessions, failures"),
-], ids=["torn", "no_config", "rows_only"])
+    (lambda text: '{"rows": []}',
+     "not a run's report: no schema_version, backend_id, taxonomy, taxonomy_labels, config, invalid_sessions, "
+     "failures"),
+    (lambda text: _with_config(text, modes=None), "not a run's report: its config has no modes"),
+    (lambda text: _with_config(text, modes=["telepathy"]),
+     "not a run's report: 'telepathy' is not a valid RefinementMode"),
+    (lambda text: _with_config(text, tasks=["juggling"]), "not a run's report: 'juggling' is not a valid TaskKind"),
+    (lambda text: _with_config(text, chunk_lens=["16"]),
+     "not a run's report: chunk length must be one of (16, 64), got '16'"),
+    (lambda text: _with_config(text, min_activity_duration_s="90"),
+     "not a run's report: min_activity_duration_s '90' is not a number"),
+    (lambda text: text.replace('"config": {', '"config": 5, "unused": {', 1), "not a run's report: "),
+], ids=["torn", "no_config", "rows_only", "no_modes", "unknown_mode", "unknown_task", "chunk_len_not_a_number",
+        "threshold_not_a_number", "config_not_an_object"])
+
+
+@BAD_RUN_REPORTS
 def test_evaluate_names_a_run_report_it_cannot_read(runner, sim_tree, tmp_path, damage, message):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     run_report = tmp_path / "report" / "report.json"
@@ -226,6 +251,18 @@ def test_evaluate_names_a_run_report_it_cannot_read(runner, sim_tree, tmp_path, 
     assert f"Error: {run_report}: {message}" in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "rescored").exists()
+
+
+@BAD_RUN_REPORTS
+def test_report_names_a_run_report_it_cannot_read(runner, sim_tree, tmp_path, damage, message):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    run_report = tmp_path / "report" / "report.json"
+    run_report.write_text(damage(run_report.read_text(encoding="utf-8")), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--report-json", str(run_report), "--out", str(tmp_path / "again.md")])
+    assert result.exit_code == 2
+    assert f"Error: {run_report}: {message}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "again.md").exists()
 
 
 def test_a_report_write_that_fails_partway_leaves_the_previous_report(runner, sim_tree, tmp_path, monkeypatch):
@@ -284,14 +321,30 @@ def test_report_rerenders_markdown(runner, sim_tree, tmp_path):
     assert out_md.read_text() == (tmp_path / "report" / "report.md").read_text()
 
 
-@pytest.mark.parametrize(
-    "option,value",
-    [("--modes", "telepathy"), ("--modes", ""), ("--chunk-lens", "16,"), ("--chunk-lens", "32")],
-)
-def test_unknown_mode_rejected(runner, sim_tree, tmp_path, option, value):
+BAD_RUN_OPTIONS = [
+    ("--modes", "telepathy", "unknown mode 'telepathy'"),
+    ("--modes", "", "need at least one mode"),
+    ("--chunk-lens", "16,", "invalid literal for int()"),
+    ("--chunk-lens", "32", "chunk length must be one of (16, 64), got 32"),
+    # out of range: each names its option, before any request
+    ("--window-s", "0", "Invalid value for --window-s: window_s must be > 0, not 0.0"),
+    ("--fps", "-1", "Invalid value for --fps: fps must be > 0, not -1.0"),
+    ("--failure-threshold", "-0.1", "Invalid value for --failure-threshold: failure_threshold must be in [0, 1]"),
+    ("--failure-threshold", "1.5", "Invalid value for --failure-threshold: failure_threshold must be in [0, 1]"),
+    ("--failure-threshold", "nan", "Invalid value for --failure-threshold: failure_threshold must be in [0, 1]"),
+    ("--min-activity-duration-s", "-1", "Invalid value for --min-activity-duration-s: "
+                                        "min_activity_duration_s must be >= 0, not -1.0"),
+    ("--concurrency", "0", "Invalid value for --concurrency: concurrency must be >= 1, not 0"),
+]
+
+
+@pytest.mark.parametrize("option,value,message", BAD_RUN_OPTIONS,
+                         ids=[f"{option}-{value}" for option, value, _ in BAD_RUN_OPTIONS])
+def test_unknown_mode_rejected(runner, sim_tree, tmp_path, option, value, message):
     result = runner.invoke(main, _run_args(sim_tree, tmp_path, **{option: value}))
     assert result.exit_code == 2, result.output
-    assert "Usage:" in result.output
+    assert "Usage:" in result.output and message in result.output
+    assert "Traceback" not in result.output
     assert not (tmp_path / "report").exists()
 
 

@@ -16,8 +16,6 @@ from sessionpipe.backends import (
     Backend,
     BackendRequest,
     FixtureStore,
-    GenerationParams,
-    HttpBackendConfig,
     HttpChatBackend,
     MockBackend,
     Role,
@@ -376,9 +374,8 @@ class TestResponseCacheJournal:
 
 class TestFailureHandling:
     def _holey_backend(self, sim_out, drop_session):
-        store = FixtureStore.load_jsonl(sim_out.fixtures_path)
         kept = [
-            r for r in store.records()
+            r for r in read_jsonl(sim_out.fixtures_path)
             if not (r["session_id"] == drop_session and r["role"] == "reasoner")
         ]
         return MockBackend(FixtureStore(kept))
@@ -405,8 +402,8 @@ class TestFailureHandling:
         # chat servers send "content": null for refusals and tool calls
         modes = (RefinementMode.VIDEO_ONLY,)
         out = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=64.0), tmp_path / "sim", modes=modes)
-        store = FixtureStore.load_jsonl(out.fixtures_path)
-        refused = next(r for r in store.records() if r["role"] == "reasoner" and r["segment_index"] == 2)
+        records = list(read_jsonl(out.fixtures_path))
+        refused = next(r for r in records if r["role"] == "reasoner" and r["segment_index"] == 2)
         refused_key = (Role.REASONER, refused["session_id"], 2, refused["prompt_hash"])
         lookups = []
 
@@ -415,8 +412,8 @@ class TestFailureHandling:
                 lookups.append(key)
                 return None if key == refused_key else super().lookup(*key)
 
-        with FixtureChatServer(Refusing(store.records())) as server:
-            backend = HttpChatBackend(HttpBackendConfig(base_url=server.base_url, backoff_s=0.01))
+        with FixtureChatServer(Refusing(records)) as server:
+            backend = HttpChatBackend(server.base_url)
             report = run(make_config(out, tmp_path, modes=modes, fixtures_path=None), backend=backend)
         assert lookups.count(refused_key) == 1  # malformed: not retried
         assert [(f["role"], f["segment_index"], f["prompt_hash"], f["error"].split(":")[0])
@@ -507,8 +504,6 @@ _REQUEST_FIELDS = {
     "session_id": st.text(min_size=1, max_size=8),
     "segment_index": st.one_of(st.none(), st.integers(min_value=0, max_value=500)),
     "prompt": st.text(min_size=1, max_size=40),
-    "temperature": st.floats(min_value=0.0, max_value=2.0),
-    "max_tokens": st.integers(min_value=1, max_value=4096),
     "seed": st.one_of(st.none(), st.integers(min_value=0, max_value=2**32)),
 }
 
@@ -517,8 +512,7 @@ def _key(fields):
     request = BackendRequest(
         role=fields["role"], session_id=fields["session_id"], prompt=fields["prompt"],
         segment_index=fields["segment_index"], media_ref=None if fields["role"] is Role.REASONER else "file:///v",
-        params=GenerationParams(temperature=fields["temperature"], max_tokens=fields["max_tokens"],
-                                seed=fields["seed"]),
+        seed=fields["seed"],
     )
     return orchestrator.cache_key(fields["backend_id"], request)
 
@@ -530,6 +524,25 @@ def test_cache_key_changes_with_any_one_request_input(fields, data):
     value = data.draw(_REQUEST_FIELDS[name].filter(lambda v: v != fields[name]))
     assert _key(fields) == _key(dict(fields))
     assert _key({**fields, name: value}) != _key(fields)
+
+
+@pytest.mark.parametrize("backend_id,request_,digest", [
+    ("http:local-model",
+     BackendRequest(role=Role.CAPTIONER, session_id="sim-000", prompt="describe", segment_index=3,
+                    media_ref="file:///v.mp4", seed=0),
+     "5620cb8dfc22b2075e4caf1c780fc8b362fb713620129f6d32f394888ad7320c"),
+    ("mock",
+     BackendRequest(role=Role.TRANSCRIBER, session_id="sim-001", prompt="transcribe", media_ref="file:///a.wav"),
+     "151be0eefa14d8ac640ebb24dc7e319d65dfc4f4551224d01924bc28d54c6411"),
+    ("mock",
+     BackendRequest(role=Role.REASONER, session_id="sim-001", prompt="Which activity?", segment_index=0, seed=42),
+     "62d558b628ccd6612d9f29b4b527f632a76040118fce3d950813107b4713329a"),
+], ids=["caption", "transcript-without-seed", "reasoner"])
+def test_cache_key_is_pinned_to_the_journal_name(backend_id, request_, digest):
+    # every journal line is addressed by these digests: a key that changes must come with a new JOURNAL_NAME,
+    # so that a cache written under the old key is refused instead of silently missed
+    assert orchestrator.JOURNAL_NAME == "responses.jsonl"
+    assert orchestrator.cache_key(backend_id, request_) == digest
 
 
 def _fixture_keys(path):
