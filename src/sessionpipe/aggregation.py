@@ -8,12 +8,13 @@ predicted Presence; a higher ratio means more frequent abnormal behavior.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from .corpus import ACTIVITY_TASKS, E_TASKS, TaskKind
-from .parsing import MatchTier, ParsedBinary, ParsedLabel
+from .corpus import ACTIVITY_TASKS, ActivityTaxonomy, TaskKind
+from .parsing import MatchTier
 from .prompting import RefinementMode
 
 DEFAULT_MIN_ACTIVITY_DURATION_S = 90.0
@@ -27,62 +28,40 @@ class EmptySessionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SegmentPrediction:
-    """One parsed prediction for one window of one session, traceable to its
-    cached backend response (a predictions.jsonl line)."""
+# the fields of a predictions.jsonl record, by task kind: field -> (its JSON types, in words)
+_STRING, _NUMBER = ((str,), "a string"), ((int, float), "a number")
+_FIELDS = {
+    "session_id": _STRING, "task": _STRING, "mode": _STRING, "chunk_len_s": ((int, type(None)), "an integer or null"),
+    "unit_index": ((int,), "an integer"), "start_s": _NUMBER, "end_s": _NUMBER, "raw": _STRING, "cache_key": _STRING,
+}
+_LABEL_FIELDS = {**_FIELDS, "label": ((str, type(None)), "a string or null"), "tier": _STRING}
+_PRESENCE_FIELDS = {**_FIELDS, "presence": ((bool, type(None)), "true, false or null")}
 
-    session_id: str
-    task: TaskKind
-    mode: RefinementMode
-    unit_index: int
-    start_s: float
-    end_s: float
-    label: ParsedLabel | ParsedBinary
-    chunk_len_s: int | None = None
-    cache_key: str = ""
 
-    def __post_init__(self):
-        if self.task in ACTIVITY_TASKS and not isinstance(self.label, ParsedLabel):
-            raise TypeError(f"activity task {self.task.value} needs a ParsedLabel")
-        if self.task in E_TASKS and not isinstance(self.label, ParsedBinary):
-            raise TypeError(f"binary task {self.task.value} needs a ParsedBinary")
-
-    def to_record(self) -> dict:
-        record: dict[str, Any] = {
-            "session_id": self.session_id,
-            "task": self.task.value,
-            "mode": self.mode.value,
-            "chunk_len_s": self.chunk_len_s,
-            "unit_index": self.unit_index,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "raw": self.label.raw,
-            "cache_key": self.cache_key,
-        }
-        if isinstance(self.label, ParsedLabel):
-            record["label"] = self.label.label
-            record["tier"] = self.label.tier.value
-        else:
-            record["presence"] = self.label.presence
-        return record
-
-    @classmethod
-    def from_record(cls, record: Mapping[str, Any]) -> "SegmentPrediction":
-        task = TaskKind(record["task"])
-        if task in ACTIVITY_TASKS:
-            label: ParsedLabel | ParsedBinary = ParsedLabel(
-                label=record["label"], tier=MatchTier(record["tier"]), raw=record["raw"]
-            )
-        else:
-            label = ParsedBinary(presence=record["presence"], raw=record["raw"])
-        chunk = record["chunk_len_s"]
-        return cls(
-            session_id=record["session_id"], task=task, mode=RefinementMode(record["mode"]),
-            unit_index=int(record["unit_index"]), start_s=float(record["start_s"]),
-            end_s=float(record["end_s"]), label=label,
-            chunk_len_s=None if chunk is None else int(chunk), cache_key=str(record["cache_key"]),
-        )
+def check_prediction(record: Any, taxonomy: ActivityTaxonomy) -> None:
+    """Raise unless ``record`` is a predictions.jsonl record: exactly its task kind's
+    fields, of their types, a known task, mode and tier, a finite window (0 <= start_s
+    < end_s) and a taxonomy label, null exactly when the tier is unknown. A missing
+    field raises KeyError, anything else ValueError; nothing is coerced."""
+    if type(record) is not dict:
+        raise ValueError("not a JSON object")
+    fields = _LABEL_FIELDS if TaskKind(record["task"]) in ACTIVITY_TASKS else _PRESENCE_FIELDS
+    if record.keys() != fields.keys():
+        if missing := fields.keys() - record.keys():
+            raise KeyError(min(missing))
+        raise ValueError(f"unknown field {', '.join(sorted(record.keys() - fields.keys()))}")
+    for name, (types, kind) in fields.items():
+        if type(record[name]) not in types:  # exact types: true is no integer
+            raise ValueError(f"{name} {record[name]!r} is not {kind}")
+    RefinementMode(record["mode"])
+    if not 0 <= record["start_s"] < record["end_s"] < math.inf:  # also false for NaN
+        raise ValueError(f"start_s {record['start_s']!r} and end_s {record['end_s']!r} are not a window")
+    if fields is _LABEL_FIELDS:
+        label, tier = record["label"], MatchTier(record["tier"])
+        if (label is None) != (tier is MatchTier.UNKNOWN):
+            raise ValueError(f"label {label!r} with tier {tier.value}: the label is null iff the tier is unknown")
+        if label is not None and label not in taxonomy:
+            raise ValueError(f"label {label!r} is not in taxonomy '{taxonomy.name}'")
 
 
 @dataclass(slots=True)
@@ -120,24 +99,22 @@ class SessionSummary:
         return self.present / self.windows
 
 
-def lift_session(
-    preds: Sequence[SegmentPrediction],
-    min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S,
-) -> frozenset[str] | float:
-    """One session's decision from its window predictions: for recognition, the
+def lift_session(preds: Sequence[Mapping[str, Any]],
+                 min_duration_s: float = DEFAULT_MIN_ACTIVITY_DURATION_S) -> frozenset[str] | float:
+    """One session's decision from its predictions.jsonl records: for recognition, the
     labels whose windows total at least min_duration_s seconds (with 16 s windows
     and the default threshold, "predicted in at least 6 windows"); for E1-E3, the
     fraction of windows predicted Presence. Unknown predictions count toward no
     label and as Absence. Segmentation is scored per segment and has no session lift."""
     if not preds:
         raise EmptySessionError("cannot lift an empty prediction list")
-    groups = {(p.session_id, p.mode.value, p.task.value) for p in preds}
+    groups = {(p["session_id"], p["mode"], p["task"]) for p in preds}
     if len(groups) > 1:
         raise MixedSessionsError(f"predictions span more than one (session, mode, task): {sorted(groups)}")
-    task = preds[0].task
+    task = TaskKind(preds[0]["task"])
     if task is TaskKind.ACTIVITY_SEGMENTATION:
         raise ValueError("segmentation is evaluated per segment, not lifted per session")
     summary = SessionSummary()
     for pred in preds:
-        summary.add(pred.to_record())
+        summary.add(pred)
     return summary.activities(min_duration_s) if task is TaskKind.ACTIVITY_RECOGNITION else summary.ratio

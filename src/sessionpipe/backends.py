@@ -126,12 +126,7 @@ class BackendRequest:
 class BackendResponse:
     text: str
     latency_ms: float
-    attempt: int
-    backend_id: str
-
-    def __post_init__(self):
-        if self.attempt < 1:
-            raise ValueError("attempt count starts at 1")
+    attempt: int  # 1 for the first try
 
 
 # one encoder for every sorted-key JSONL line: ``json.dumps(..., sort_keys=True)`` builds one per call
@@ -250,7 +245,7 @@ class MockBackend(Backend):
         text = self._store.lookup(
             request.role, request.session_id, request.segment_index, request.prompt_hash
         )
-        return BackendResponse(text=text, latency_ms=0.0, attempt=1, backend_id=self.backend_id)
+        return BackendResponse(text=text, latency_ms=0.0, attempt=1)
 
 
 def parse_retry_after(value: str | None, now: float) -> float | None:
@@ -462,9 +457,7 @@ class HttpChatBackend(Backend):
                     time.sleep(self._backoff_s(attempt, exc))
                 continue
             latency_ms = (time.perf_counter() - started) * 1000.0
-            return BackendResponse(
-                text=text, latency_ms=latency_ms, attempt=attempt, backend_id=self.backend_id
-            )
+            return BackendResponse(text=text, latency_ms=latency_ms, attempt=attempt)
         assert last_error is not None
         raise BackendExhaustedError(attempts=attempts, last_error=last_error)
 

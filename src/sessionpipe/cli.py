@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import orchestrator, simulator, windowing
-from .backends import EndpointError
+from .backends import EndpointError, replacing
 from .corpus import TaskKind, load_corpus, load_taxonomy
 from .prompting import RefinementMode
 
@@ -146,7 +146,7 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     manifests = load_corpus(corpus_dir, taxonomy)
     with closing(orchestrator.Scorer(manifests, report_dir)) as scorer:
         try:
-            scorer.read(predictions_path)
+            scorer.read(predictions_path, taxonomy)
         except orchestrator.BadPredictionsError as exc:  # not a prediction, or out of run order
             click.echo(f"Error: {exc}", err=True)
             sys.exit(2)
@@ -156,8 +156,8 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
 
 
 def _read_run_report(path: Path) -> dict:
-    """A run's report.json, with every top-level key and the scoring settings
-    of its config; anything else exits 2, naming the file."""
+    """A run's report.json, with every top-level key, the scoring settings of its
+    config and the keys report.md reads of each row; anything else exits 2, naming the file."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -174,6 +174,9 @@ def _read_run_report(path: Path) -> dict:
         windowing.check_chunk_lengths(config["chunk_lens"])
         if type(config["min_activity_duration_s"]) not in (int, float):
             raise ValueError(f"min_activity_duration_s {config['min_activity_duration_s']!r} is not a number")
+        for number, row in enumerate(doc["rows"], 1):
+            if not isinstance(row, dict) or not {"mode", "chunk_len_s", "metrics", "per_class"} <= row.keys():
+                raise ValueError(f"row {number} is not an object with mode, chunk_len_s, metrics and per_class")
     except (ValueError, TypeError) as exc:  # also a file that is not UTF-8, or a config that is no object
         click.echo(f"Error: {path}: not a run's report: {exc}", err=True)
         sys.exit(2)
@@ -190,7 +193,8 @@ def report_command(report_json, out_path):
 
     doc = _read_run_report(report_json)
     out_path = out_path if out_path is not None else report_json.with_name("report.md")
-    Path(out_path).write_text(render_markdown(doc), encoding="utf-8")
+    with replacing(out_path) as fh:
+        fh.write(render_markdown(doc))
     click.echo(f"wrote {out_path}")
 
 

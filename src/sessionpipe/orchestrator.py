@@ -420,6 +420,22 @@ def plan_units(
                     yield PlannedUnit(task, mode, chunk_len, window, request, caption, transcript)
 
 
+def prediction_record(unit: PlannedUnit, cache_key: str, answer: str, taxonomy: ActivityTaxonomy) -> dict[str, Any]:
+    """The predictions.jsonl record of one answered unit (``aggregation.check_prediction`` states it)."""
+    window = unit.window
+    record: dict[str, Any] = {
+        "session_id": unit.request.session_id, "task": unit.task.value, "mode": unit.mode.value,
+        "chunk_len_s": unit.chunk_len_s, "unit_index": window.index, "start_s": window.start_s,
+        "end_s": window.end_s, "raw": answer, "cache_key": cache_key,
+    }
+    if unit.task in ACTIVITY_TASKS:
+        parsed = parse_label(answer, taxonomy)
+        record["label"], record["tier"] = parsed.label, parsed.tier.value
+    else:
+        record["presence"] = parse_binary(answer).presence
+    return record
+
+
 _SEGMENTATION = TaskKind.ACTIVITY_SEGMENTATION.value
 
 
@@ -476,16 +492,17 @@ class Scorer:
                         frame_timestamps_s=()), timeline)
         summary.add(record, gold)
 
-    def read(self, path: Path) -> None:
-        """Add every prediction of a predictions.jsonl file, each checked and
-        rewritten as a run writes it. A line that is not a prediction record
-        raises BadPredictionsError, and one out of run order OutOfOrderError;
-        both name the file and the line."""
+    def read(self, path: Path, taxonomy: ActivityTaxonomy) -> None:
+        """Add every prediction of a predictions.jsonl file, each checked by
+        ``aggregation.check_prediction`` and taken as it is. A line that is not a
+        prediction record raises BadPredictionsError, and one out of run order
+        OutOfOrderError; both name the file and the line."""
         with open(path, encoding="utf-8") as fh:
             for number, line in enumerate(fh, 1):
                 if line.strip():
                     try:
-                        record = aggregation.SegmentPrediction.from_record(json.loads(line)).to_record()
+                        record = json.loads(line)
+                        aggregation.check_prediction(record, taxonomy)
                     except KeyError as exc:
                         raise BadPredictionsError(f"{path}: line {number} has no field {exc}") from None
                     except (ValueError, TypeError) as exc:  # not JSON, not an object, or a bad value
@@ -568,19 +585,7 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
                 overlapping = (s.index for s in segments[sid] if s.start_s < window.end_s and s.end_s > window.start_s)
                 record_failure(unit.request, answer, overlapping)
                 continue
-            scorer.add(
-                aggregation.SegmentPrediction(
-                    session_id=sid,
-                    task=unit.task,
-                    mode=unit.mode,
-                    unit_index=window.index,
-                    start_s=window.start_s,
-                    end_s=window.end_s,
-                    label=parse_label(answer, taxonomy) if unit.task in ACTIVITY_TASKS else parse_binary(answer),
-                    chunk_len_s=unit.chunk_len_s,
-                    cache_key=key,
-                ).to_record()
-            )
+            scorer.add(prediction_record(unit, key, answer, taxonomy))
 
         run_info = {
             "backend_id": backend.backend_id,
@@ -712,5 +717,5 @@ def write_report_files(report: dict, scorer: Scorer, report_dir: Path) -> None:
     scorer.write_predictions(report_dir / "predictions.jsonl")
 
 
-def load_predictions(path: str | Path) -> list[aggregation.SegmentPrediction]:
-    return [aggregation.SegmentPrediction.from_record(record) for record in read_jsonl(path)]
+def load_predictions(path: str | Path) -> list[dict[str, Any]]:
+    return list(read_jsonl(path))

@@ -31,13 +31,9 @@ class MatchTier(Enum):
 
 @dataclass(frozen=True)
 class ParsedLabel:
-    label: str | None
+    label: str | None  # None exactly when tier is UNKNOWN
     tier: MatchTier
     raw: str
-
-    def __post_init__(self):
-        if (self.label is None) != (self.tier is MatchTier.UNKNOWN):
-            raise ValueError("label is None iff tier is UNKNOWN")
 
 
 @dataclass(frozen=True)

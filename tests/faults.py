@@ -50,8 +50,7 @@ class FaultyBackend(Backend):
             self.raised[key] = error.__name__
             raise error(f"injected for {key[:12]}")
         if key in self._torn:
-            response = BackendResponse(text=self.TORN_TRANSCRIPT, latency_ms=0.0, attempt=1,
-                                       backend_id=self.backend_id)
+            response = BackendResponse(text=self.TORN_TRANSCRIPT, latency_ms=0.0, attempt=1)
         else:
             response = self._inner.complete(request)
         self.answers += 1

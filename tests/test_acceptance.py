@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
-from sessionpipe.aggregation import SegmentPrediction, lift_session
+from sessionpipe.aggregation import lift_session
 from sessionpipe.backends import FixtureStore, HttpChatBackend, MockBackend
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
 from sessionpipe.orchestrator import report_row
-from sessionpipe.parsing import MatchTier, ParsedLabel
 from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import fill_chunks, plan_segments, plan_transcript_chunks
@@ -119,15 +118,9 @@ def test_pr_auc_worked_examples():
 def test_aggregation_threshold_law():
     for count in range(11):
         preds = [
-            SegmentPrediction(
-                session_id="s",
-                task=TaskKind.ACTIVITY_RECOGNITION,
-                mode=RefinementMode.MULTIMODAL,
-                unit_index=i,
-                start_s=i * 16.0,
-                end_s=(i + 1) * 16.0,
-                label=ParsedLabel(label="toy play", tier=MatchTier.EXACT, raw="toy play"),
-            )
+            {"session_id": "s", "task": TaskKind.ACTIVITY_RECOGNITION.value, "mode": RefinementMode.MULTIMODAL.value,
+             "chunk_len_s": 16, "unit_index": i, "start_s": i * 16.0, "end_s": (i + 1) * 16.0,
+             "label": "toy play", "tier": "exact", "raw": "toy play", "cache_key": ""}
             for i in range(count)
         ]
         included = bool(preds) and "toy play" in lift_session(preds)

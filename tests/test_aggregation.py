@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,42 +8,34 @@ from hypothesis import strategies as st
 from sessionpipe.aggregation import (
     EmptySessionError,
     MixedSessionsError,
-    SegmentPrediction,
+    check_prediction,
     lift_session,
 )
-from sessionpipe.corpus import TaskKind
-from sessionpipe.parsing import MatchTier, ParsedBinary, ParsedLabel
-from sessionpipe.prompting import RefinementMode
+from sessionpipe.backends import SORTED_JSON, BackendRequest, Role
+from sessionpipe.corpus import ACTIVITY_TASKS, ActivityTaxonomy, TaskKind
+from sessionpipe.orchestrator import PlannedUnit, prediction_record
+from sessionpipe.prompting import TRANSCRIPT_MODES, RefinementMode
+from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, Segment, TranscriptChunk
+
+TAXONOMY = ActivityTaxonomy(name="toys", labels=("a toy", "b toy", "toy play", "manipulatives"),
+                            aliases={"playing with toys": "toy play"})
 
 
-def label_pred(index, label, duration=16.0, session_id="s1"):
-    parsed = (
-        ParsedLabel(label=label, tier=MatchTier.EXACT, raw=str(label))
-        if label is not None
-        else ParsedLabel(label=None, tier=MatchTier.UNKNOWN, raw="?")
-    )
+def record(index, task, start_s, end_s, session_id="s1", **parsed):
+    """A multimodal predictions.jsonl record; ``parsed`` is label and tier, or presence."""
+    return {"session_id": session_id, "task": task.value, "mode": RefinementMode.MULTIMODAL.value,
+            "chunk_len_s": 16, "unit_index": index, "start_s": start_s, "end_s": end_s,
+            "raw": "the answer", "cache_key": "", **parsed}
+
+
+def label_pred(index, label, duration=16.0, session_id="s1", task=TaskKind.ACTIVITY_RECOGNITION):
     start = index * duration
-    return SegmentPrediction(
-        session_id=session_id,
-        task=TaskKind.ACTIVITY_RECOGNITION,
-        mode=RefinementMode.MULTIMODAL,
-        unit_index=index,
-        start_s=start,
-        end_s=start + duration,
-        label=parsed,
-    )
+    return record(index, task, start, start + duration, session_id,
+                  label=label, tier="exact" if label is not None else "unknown")
 
 
 def binary_pred(index, presence, session_id="s1"):
-    return SegmentPrediction(
-        session_id=session_id,
-        task=TaskKind.E1_OVERACTIVITY,
-        mode=RefinementMode.MULTIMODAL,
-        unit_index=index,
-        start_s=index * 16.0,
-        end_s=(index + 1) * 16.0,
-        label=ParsedBinary(presence=presence, raw=str(presence)),
-    )
+    return record(index, TaskKind.E1_OVERACTIVITY, index * 16.0, (index + 1) * 16.0, session_id, presence=presence)
 
 
 class TestSessionActivities:
@@ -59,17 +52,7 @@ class TestSessionActivities:
     def test_tail_segment_duration_counts(self):
         # 5 full 16 s segments + one 10 s kept tail = exactly 90 s
         preds = [label_pred(i, "toy play") for i in range(5)]
-        preds.append(
-            SegmentPrediction(
-                session_id="s1",
-                task=TaskKind.ACTIVITY_RECOGNITION,
-                mode=RefinementMode.MULTIMODAL,
-                unit_index=5,
-                start_s=80.0,
-                end_s=90.0,
-                label=ParsedLabel(label="toy play", tier=MatchTier.EXACT, raw="toy play"),
-            )
-        )
+        preds.append({**label_pred(5, "toy play"), "start_s": 80.0, "end_s": 90.0})
         assert lift_session(preds) == {"toy play"}
 
     def test_mixed_sessions_rejected(self):
@@ -158,27 +141,54 @@ class TestLiftSession:
             lift_session([binary_pred(0, True), binary_pred(1, True, session_id="s2")])
 
     def test_segmentation_has_no_session_lift(self):
-        pred = SegmentPrediction(
-            session_id="s1",
-            task=TaskKind.ACTIVITY_SEGMENTATION,
-            mode=RefinementMode.MULTIMODAL,
-            unit_index=0,
-            start_s=0.0,
-            end_s=16.0,
-            label=ParsedLabel(label="toy play", tier=MatchTier.EXACT, raw="toy play"),
-        )
         with pytest.raises(ValueError):
-            lift_session([pred])
+            lift_session([label_pred(0, "toy play", task=TaskKind.ACTIVITY_SEGMENTATION)])
 
 
 def test_task_label_kind_mismatch_rejected():
-    with pytest.raises(TypeError):
-        SegmentPrediction(
-            session_id="s1",
-            task=TaskKind.ACTIVITY_RECOGNITION,
-            mode=RefinementMode.MULTIMODAL,
-            unit_index=0,
-            start_s=0.0,
-            end_s=16.0,
-            label=ParsedBinary(presence=True, raw="yes"),
-        )
+    recognition_with_presence = record(0, TaskKind.ACTIVITY_RECOGNITION, 0.0, 16.0, presence=True)
+    with pytest.raises(KeyError):
+        check_prediction(recognition_with_presence, TAXONOMY)
+    e1_with_label = record(0, TaskKind.E1_OVERACTIVITY, 0.0, 16.0, label="toy play", tier="exact")
+    with pytest.raises(KeyError):
+        check_prediction(e1_with_label, TAXONOMY)
+
+
+ANSWERS = st.one_of(
+    st.sampled_from(TAXONOMY.labels + tuple(TAXONOMY.aliases) + ("yes", "No.", "absent", "present", "")),
+    st.text(max_size=40),
+    st.builds("The activity is {}.".format, st.sampled_from(TAXONOMY.labels)),
+)
+
+
+@st.composite
+def answered_units(draw):
+    """(unit, cache key, answer) as a run's scoring loop takes them."""
+    task = draw(st.sampled_from(TaskKind))
+    mode = draw(st.sampled_from(RefinementMode))
+    chunk_len = draw(st.sampled_from(SUPPORTED_CHUNK_LENGTHS)) if mode in TRANSCRIPT_MODES else None
+    session_id = draw(st.text(min_size=1, max_size=8))
+    index = draw(st.integers(min_value=0, max_value=500))
+    start = draw(st.floats(min_value=0.0, max_value=7200.0, allow_nan=False))
+    end = start + draw(st.floats(min_value=0.5, max_value=64.0, allow_nan=False))
+    if mode is RefinementMode.TRANSCRIPT_ONLY:
+        window = TranscriptChunk(session_id=session_id, index=index, start_s=start, end_s=end, chunk_len_s=chunk_len)
+    else:
+        window = Segment(session_id=session_id, index=index, start_s=start, end_s=end, frame_timestamps_s=())
+    request = BackendRequest(role=Role.REASONER, session_id=session_id, prompt="p", segment_index=index)
+    unit = PlannedUnit(task, mode, chunk_len, window, request, None, None)
+    return unit, draw(st.text(alphabet="0123456789abcdef", min_size=64, max_size=64)), draw(ANSWERS)
+
+
+@given(answered=answered_units())
+@settings(max_examples=300, deadline=None)
+def test_every_record_a_run_builds_passes_the_check_unchanged(answered):
+    unit, key, answer = answered
+    built = prediction_record(unit, key, answer, TAXONOMY)
+    line = json.loads(SORTED_JSON.encode(built))
+    for prediction in (built, line):
+        before = dict(prediction)
+        check_prediction(prediction, TAXONOMY)
+        assert prediction == before
+    assert line == built
+    assert ("label" in built) == (unit.task in ACTIVITY_TASKS)

@@ -194,13 +194,31 @@ def test_evaluate_refuses_a_line_out_of_run_order(runner, sim_tree, tmp_path):
     assert list((tmp_path / "rescored").iterdir()) == []  # no report, and no spill file left behind
 
 
+def _changed(line, *dropped, **changes):
+    """A predictions.jsonl line with fields dropped and changed."""
+    return json.dumps({**{k: v for k, v in json.loads(line).items() if k not in dropped}, **changes})
+
+
 @pytest.mark.parametrize("damage,message", [
     (lambda line: line[:45], "is not a prediction: "),  # cut short: not JSON
     (lambda line: line.replace('"task": "activity_recognition"', '"task": "bogus"'),
      "is not a prediction: 'bogus' is not a valid TaskKind"),
     (lambda line: line.replace('"label": ', '"lable": '), "has no field 'label'"),
     (lambda line: "[]", "is not a prediction: "),
-], ids=["not_json", "unknown_task", "missing_field", "not_an_object"])
+    (lambda line: _changed(line, task="activity_segmentation", label="juggling", tier="exact"),
+     "is not a prediction: label 'juggling' is not in taxonomy "),
+    (lambda line: _changed(line, "label", "tier", task="e1_overactivity", presence="yes"),
+     "is not a prediction: presence 'yes' is not true, false or null"),
+    (lambda line: _changed(line, label=7), "is not a prediction: label 7 is not a string or null"),
+    (lambda line: _changed(line, unit_index="0"), "is not a prediction: unit_index '0' is not an integer"),
+    (lambda line: _changed(line, label=None, tier="exact"),
+     "is not a prediction: label None with tier exact: the label is null iff the tier is unknown"),
+    (lambda line: _changed(line, note="hand-edited"), "is not a prediction: unknown field note"),
+    (lambda line: _changed(line, end_s=float("nan")),
+     "is not a prediction: start_s 32.0 and end_s nan are not a window"),
+], ids=["not_json", "unknown_task", "missing_field", "not_an_object", "segmentation_label_not_in_taxonomy",
+        "presence_yes", "label_7", "unit_index_a_string", "exact_tier_null_label",
+        "extra_field", "end_s_nan"])
 def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_path, damage, message):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     predictions = tmp_path / "report" / "predictions.jsonl"
@@ -236,8 +254,10 @@ BAD_RUN_REPORTS = pytest.mark.parametrize("damage,message", [
     (lambda text: _with_config(text, min_activity_duration_s="90"),
      "not a run's report: min_activity_duration_s '90' is not a number"),
     (lambda text: text.replace('"config": {', '"config": 5, "unused": {', 1), "not a run's report: "),
+    (lambda text: json.dumps({**json.loads(text), "rows": [{}]}),
+     "not a run's report: row 1 is not an object with mode, chunk_len_s, metrics and per_class"),
 ], ids=["torn", "no_config", "rows_only", "no_modes", "unknown_mode", "unknown_task", "chunk_len_not_a_number",
-        "threshold_not_a_number", "config_not_an_object"])
+        "threshold_not_a_number", "config_not_an_object", "empty_row"])
 
 
 @BAD_RUN_REPORTS

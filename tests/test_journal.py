@@ -82,10 +82,10 @@ def ref(tmp_path_factory) -> Reference:
         outputs[threshold] = _outputs(cfg)
     records = {r["key"]: r for r in read_jsonl(_journal(cfg))}
     predictions = load_predictions(cfg.report_dir / "predictions.jsonl")
-    units = Counter(p.cache_key for p in predictions)
+    units = Counter(p["cache_key"] for p in predictions)
     return Reference(
         sim=sim, store=store, outputs=outputs, journal=_journal(cfg).read_bytes(), total=backend.call_count,
-        records=records, windows={p.cache_key: (p.start_s, p.end_s) for p in predictions},
+        records=records, windows={p["cache_key"]: (p["start_s"], p["end_s"]) for p in predictions},
         faultable=sorted(key for key, r in records.items() if units[key] <= 1 and r["role"] != "transcriber"),
         transcripts=sorted(key for key, r in records.items() if r["role"] == "transcriber"),
     )

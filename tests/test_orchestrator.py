@@ -116,8 +116,8 @@ class TestRun:
                               modes=modes, chunk_lens=(64,))
         cfg = make_config(out, tmp_path, modes=modes, chunk_lens=(64,))
         report = run(cfg)
-        modes_seen = [p.mode for p in load_predictions(cfg.report_dir / "predictions.jsonl")]
-        assert modes_seen.count(RefinementMode.MULTIMODAL) == modes_seen.count(RefinementMode.VIDEO_ONLY) == 10
+        modes_seen = [p["mode"] for p in load_predictions(cfg.report_dir / "predictions.jsonl")]
+        assert modes_seen.count("multimodal") == modes_seen.count("video_only") == 10
         assert report["failures"] == []
         assert (report_row(report, RefinementMode.MULTIMODAL, 64)["metrics"]
                 == report_row(report, RefinementMode.VIDEO_ONLY)["metrics"])
@@ -146,7 +146,7 @@ class TestRun:
         cached_keys = {record["key"] for record in read_jsonl(cfg.cache_dir / "responses.jsonl")}
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         assert preds
-        assert all(p.cache_key in cached_keys for p in preds)
+        assert all(p["cache_key"] in cached_keys for p in preds)
 
 
 class TestExecution:
@@ -193,7 +193,7 @@ class TestExecution:
         if concurrency is None:
             assert backend.call_count == 5 * 8 + 1  # the unit keys, plus the transcript
             assert len(preds) == 5 * (8 + 2)
-            assert len({p.cache_key for p in preds}) == 5 * 8
+            assert len({p["cache_key"] for p in preds}) == 5 * 8
         else:
             assert len(backend.sent) == len(set(backend.sent)) == 5 * 8 + 1
             # the 16 s and 64 s chunk 0 of each task share a key: both units fail
@@ -466,7 +466,7 @@ class TestEvaluateFromPredictions:
         taxonomy = load_taxonomy(cfg.taxonomy_path)
         manifests = load_corpus(cfg.corpus_dir, taxonomy)
         with closing(orchestrator.Scorer(manifests, tmp_path / "rescored")) as scorer:
-            scorer.read(cfg.report_dir / "predictions.jsonl")
+            scorer.read(cfg.report_dir / "predictions.jsonl", taxonomy)
             assert orchestrator.evaluate_predictions(manifests, taxonomy, scorer, report) == report
 
 

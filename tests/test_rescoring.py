@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
-from sessionpipe.aggregation import SegmentPrediction
 from sessionpipe.backends import Backend, FixtureStore, MockBackend, read_jsonl, write_jsonl
 from sessionpipe.cli import main
 from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, write_corpus
 from sessionpipe.orchestrator import RunConfig, run
+from sessionpipe.parsing import ParsedBinary, ParsedLabel
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS
@@ -163,7 +163,10 @@ def test_the_predictions_held_when_scoring_starts_do_not_grow_with_the_corpus(tm
     evaluate_predictions = orchestrator.evaluate_predictions
 
     def counting(manifests, *args):
-        live[len(manifests)] = sum(isinstance(o, SegmentPrediction) for o in gc.get_objects())
+        tracked = gc.get_objects()
+        # a record of strings, numbers and None is not tracked itself: look in what holds it
+        records = [o for o in gc.get_referents(*tracked) if type(o) is dict and "cache_key" in o]
+        live[len(manifests)] = len(records) + sum(isinstance(o, (ParsedLabel, ParsedBinary)) for o in tracked)
         return evaluate_predictions(manifests, *args)
 
     monkeypatch.setattr(orchestrator, "evaluate_predictions", counting)
