@@ -15,7 +15,7 @@ from typing import Any, Mapping, Sequence
 
 from .corpus import ACTIVITY_TASKS, ActivityTaxonomy, TaskKind
 from .parsing import MatchTier
-from .prompting import RefinementMode
+from .prompting import RefinementMode, check_chunk_len
 
 DEFAULT_MIN_ACTIVITY_DURATION_S = 90.0
 
@@ -40,9 +40,11 @@ _PRESENCE_FIELDS = {**_FIELDS, "presence": ((bool, type(None)), "true, false or 
 
 def check_prediction(record: Any, taxonomy: ActivityTaxonomy) -> None:
     """Raise unless ``record`` is a predictions.jsonl record: exactly its task kind's
-    fields, of their types, a known task, mode and tier, a finite window (0 <= start_s
-    < end_s) and a taxonomy label, null exactly when the tier is unknown. A missing
-    field raises KeyError, anything else ValueError; nothing is coerced."""
+    fields, of their types, a known task, mode and tier, a chunk length that is a
+    positive integer when the mode reads a transcript and null otherwise, a finite
+    window (0 <= start_s < end_s) and a taxonomy label, null exactly when the tier
+    is unknown. A missing field raises KeyError, anything else ValueError; nothing
+    is coerced."""
     if type(record) is not dict:
         raise ValueError("not a JSON object")
     fields = _LABEL_FIELDS if TaskKind(record["task"]) in ACTIVITY_TASKS else _PRESENCE_FIELDS
@@ -53,7 +55,7 @@ def check_prediction(record: Any, taxonomy: ActivityTaxonomy) -> None:
     for name, (types, kind) in fields.items():
         if type(record[name]) not in types:  # exact types: true is no integer
             raise ValueError(f"{name} {record[name]!r} is not {kind}")
-    RefinementMode(record["mode"])
+    check_chunk_len(RefinementMode(record["mode"]), record["chunk_len_s"])
     if not 0 <= record["start_s"] < record["end_s"] < math.inf:  # also false for NaN
         raise ValueError(f"start_s {record['start_s']!r} and end_s {record['end_s']!r} are not a window")
     if fields is _LABEL_FIELDS:

@@ -12,7 +12,7 @@ import click
 from . import orchestrator, simulator, windowing
 from .backends import EndpointError, replacing
 from .corpus import TaskKind, load_corpus, load_taxonomy
-from .prompting import RefinementMode
+from .prompting import RefinementMode, check_chunk_len
 
 _MODE_CHOICES = [m.value for m in RefinementMode]
 _TASK_CHOICES = [t.value for t in TaskKind]
@@ -155,9 +155,20 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     click.echo(f"report written to {report_dir}")
 
 
+def _check_row(row: dict) -> None:
+    check_chunk_len(RefinementMode(row["mode"]), row["chunk_len_s"])
+    metrics, per_class = row["metrics"], row["per_class"]
+    if not isinstance(metrics, dict) or any(type(v) not in (int, float, type(None)) for v in metrics.values()):
+        raise ValueError("metrics is not an object of numbers or nulls")
+    if not isinstance(per_class, dict) or any(
+            not isinstance(scores, dict) or any(type(v) not in (int, float) for v in scores.values())
+            for scores in per_class.values()):
+        raise ValueError("per_class is not an object of objects of numbers")
+
+
 def _read_run_report(path: Path) -> dict:
     """A run's report.json, with every top-level key, the scoring settings of its
-    config and the keys report.md reads of each row; anything else exits 2, naming the file."""
+    config and the values report.md reads of each row; anything else exits 2, naming the file."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -177,6 +188,10 @@ def _read_run_report(path: Path) -> dict:
         for number, row in enumerate(doc["rows"], 1):
             if not isinstance(row, dict) or not {"mode", "chunk_len_s", "metrics", "per_class"} <= row.keys():
                 raise ValueError(f"row {number} is not an object with mode, chunk_len_s, metrics and per_class")
+            try:
+                _check_row(row)
+            except ValueError as exc:
+                raise ValueError(f"row {number}: {exc}") from None
     except (ValueError, TypeError) as exc:  # also a file that is not UTF-8, or a config that is no object
         click.echo(f"Error: {path}: not a run's report: {exc}", err=True)
         sys.exit(2)

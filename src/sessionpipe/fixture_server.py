@@ -35,9 +35,22 @@ class _FixtureHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _drop_chunked_body(self) -> None:
+        """Read a chunked request body to its end, so the client's last chunk
+        is not sent into a connection this server has closed."""
+        while size := int(self.rfile.readline(65537).split(b";", 1)[0], 16):
+            self.rfile.read(size + 2)  # the chunk and its CRLF
+        while self.rfile.readline(65537) not in (b"\r\n", b"\n", b""):  # the trailer
+            pass
+
     def do_POST(self):
         length = self.headers.get("Content-Length", "0")
         if not length.isdecimal() or "Transfer-Encoding" in self.headers:  # where the body ends is unknown
+            if self.headers.get("Transfer-Encoding", "").lower() == "chunked":
+                try:
+                    self._drop_chunked_body()
+                except ValueError:  # a chunk size that is no number: only closing is left
+                    pass
             self._send(400, {"error": {"message": "bad request: a body needs a decimal Content-Length"}}, close=True)
             return
         raw = self.rfile.read(int(length))  # on every path, so the next request starts after it

@@ -25,6 +25,14 @@ CAPTION_MODES = frozenset({RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL}
 TRANSCRIPT_MODES = frozenset({RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL})
 
 
+def check_chunk_len(mode: RefinementMode, chunk_len: object) -> None:
+    """Raise ValueError unless ``chunk_len`` (a chunk_len_s read from a run's
+    output) is a positive integer when ``mode`` reads a transcript, and null otherwise."""
+    if not ((type(chunk_len) is int and chunk_len > 0) if mode in TRANSCRIPT_MODES else chunk_len is None):
+        raise ValueError(f"chunk_len_s {chunk_len!r} with mode {mode.value}: "
+                         "a positive integer iff the mode reads a transcript")
+
+
 class PromptingError(ValueError):
     pass
 

@@ -216,9 +216,16 @@ def _changed(line, *dropped, **changes):
     (lambda line: _changed(line, note="hand-edited"), "is not a prediction: unknown field note"),
     (lambda line: _changed(line, end_s=float("nan")),
      "is not a prediction: start_s 32.0 and end_s nan are not a window"),
+    (lambda line: _changed(line, mode="zero_shot"),
+     "is not a prediction: chunk_len_s 16 with mode zero_shot: a positive integer iff the mode reads a transcript"),
+    (lambda line: _changed(line, chunk_len_s=None),
+     "is not a prediction: chunk_len_s None with mode multimodal: a positive integer iff the mode reads a transcript"),
+    (lambda line: _changed(line, chunk_len_s=0),
+     "is not a prediction: chunk_len_s 0 with mode multimodal: a positive integer iff the mode reads a transcript"),
 ], ids=["not_json", "unknown_task", "missing_field", "not_an_object", "segmentation_label_not_in_taxonomy",
         "presence_yes", "label_7", "unit_index_a_string", "exact_tier_null_label",
-        "extra_field", "end_s_nan"])
+        "extra_field", "end_s_nan", "zero_shot_with_a_chunk_length", "multimodal_without_one",
+        "chunk_length_zero"])
 def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_path, damage, message):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     predictions = tmp_path / "report" / "predictions.jsonl"
@@ -235,6 +242,12 @@ def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_pa
 def _with_config(text, **changes):
     doc = json.loads(text)
     doc["config"] = {k: v for k, v in {**doc["config"], **changes}.items() if v is not None}
+    return json.dumps(doc)
+
+
+def _with_row(text, **changes):
+    doc = json.loads(text)
+    doc["rows"][0].update(changes)
     return json.dumps(doc)
 
 
@@ -256,8 +269,26 @@ BAD_RUN_REPORTS = pytest.mark.parametrize("damage,message", [
     (lambda text: text.replace('"config": {', '"config": 5, "unused": {', 1), "not a run's report: "),
     (lambda text: json.dumps({**json.loads(text), "rows": [{}]}),
      "not a run's report: row 1 is not an object with mode, chunk_len_s, metrics and per_class"),
+    (lambda text: _with_row(text, mode="telepathy"),
+     "not a run's report: row 1: 'telepathy' is not a valid RefinementMode"),
+    (lambda text: _with_row(text, chunk_len_s="16"),
+     "not a run's report: row 1: chunk_len_s '16' with mode multimodal: a positive integer iff the mode reads a "
+     "transcript"),
+    (lambda text: _with_row(text, mode="zero_shot"),
+     "not a run's report: row 1: chunk_len_s 16 with mode zero_shot: a positive integer iff the mode reads a "
+     "transcript"),
+    (lambda text: _with_row(text, metrics={"e1_overactivity": "0.5"}),
+     "not a run's report: row 1: metrics is not an object of numbers or nulls"),
+    (lambda text: _with_row(text, metrics=[]),
+     "not a run's report: row 1: metrics is not an object of numbers or nulls"),
+    (lambda text: _with_row(text, per_class={"activity_recognition": {"toy play": None}}),
+     "not a run's report: row 1: per_class is not an object of objects of numbers"),
+    (lambda text: _with_row(text, per_class={"activity_recognition": [0.5]}),
+     "not a run's report: row 1: per_class is not an object of objects of numbers"),
 ], ids=["torn", "no_config", "rows_only", "no_modes", "unknown_mode", "unknown_task", "chunk_len_not_a_number",
-        "threshold_not_a_number", "config_not_an_object", "empty_row"])
+        "threshold_not_a_number", "config_not_an_object", "empty_row", "row_mode_unknown", "row_chunk_len_a_string",
+        "row_chunk_len_without_a_transcript", "row_metric_a_string", "row_metrics_not_an_object",
+        "row_per_class_null", "row_per_class_not_objects"])
 
 
 @BAD_RUN_REPORTS
