@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 from sessionpipe import orchestrator
+from sessionpipe.config import RunConfig
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 
@@ -28,7 +29,7 @@ def main() -> None:
     )
     out = generate_corpus(sim_cfg, workdir / "sim", chunk_lens=(16, 64))
 
-    cfg = orchestrator.RunConfig(
+    cfg = RunConfig(
         corpus_dir=out.corpus_dir,
         taxonomy_path=out.taxonomy_path,
         report_dir=workdir / "report",

@@ -14,8 +14,10 @@ import tempfile
 from pathlib import Path
 
 from sessionpipe import orchestrator
+from sessionpipe.config import RunConfig
 from sessionpipe.corpus import TaskKind
 from sessionpipe.prompting import RefinementMode
+from sessionpipe.scoring import report_row
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 
 
@@ -28,7 +30,7 @@ def ar_macro(workdir: Path, seed: int, flip_p: float) -> float:
         modes=(RefinementMode.MULTIMODAL,),
         chunk_lens=(16,),
     )
-    cfg = orchestrator.RunConfig(
+    cfg = RunConfig(
         corpus_dir=out.corpus_dir,
         taxonomy_path=out.taxonomy_path,
         report_dir=workdir / f"report-{flip_p}-{seed}",
@@ -38,7 +40,7 @@ def ar_macro(workdir: Path, seed: int, flip_p: float) -> float:
         chunk_lens=(16,),
     )
     report = orchestrator.run(cfg)
-    return orchestrator.report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_recognition"]
+    return report_row(report, RefinementMode.MULTIMODAL, 16)["metrics"]["activity_recognition"]
 
 
 def main() -> None:

@@ -21,16 +21,16 @@ import threading
 import time
 import zlib
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import timezone
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping
+from typing import IO, Any, Iterable, Mapping
 from urllib.parse import urlsplit
 
 import requests
 
+from .corpus import read_jsonl
 from .windowing import TimedUtterance
 
 
@@ -127,40 +127,6 @@ class BackendResponse:
     text: str
     latency_ms: float
     attempt: int  # 1 for the first try
-
-
-# one encoder for every sorted-key JSONL line: ``json.dumps(..., sort_keys=True)`` builds one per call
-SORTED_JSON = json.JSONEncoder(sort_keys=True)
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
-    """The records of a JSONL file, one per non-blank line."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
-
-
-@contextmanager
-def replacing(path: str | Path) -> Iterator[IO[str]]:
-    """A temp text file that is renamed over ``path`` when the block ends; a failed
-    write removes the temp file and leaves ``path`` whole."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
-    """Write one sorted-key JSON record per line, replacing ``path`` whole."""
-    with replacing(path) as fh:
-        for record in records:
-            fh.write(SORTED_JSON.encode(record) + "\n")
 
 
 FixtureKey = tuple[str, str, int | None, str]

@@ -9,17 +9,20 @@ from pathlib import Path
 
 import click
 
-from . import orchestrator, simulator, windowing
-from .backends import EndpointError, replacing
-from .corpus import TaskKind, load_corpus, load_taxonomy
+from . import scoring, windowing
+from .config import BadSettingError, RunConfig
+from .corpus import TaskKind, load_corpus, load_taxonomy, replacing
 from .prompting import RefinementMode, check_chunk_len
 
 _MODE_CHOICES = [m.value for m in RefinementMode]
 _TASK_CHOICES = [t.value for t in TaskKind]
-_RUN_DEFAULTS = orchestrator.RunConfig  # the run options default to its field defaults
+_RUN_DEFAULTS = RunConfig  # the run options default to its field defaults
 # inputs that must exist: a missing one exits 2 with a message naming its option
 _EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
 _EXISTING_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
+# outputs: a path of the wrong kind exits 2 naming its option; the metavar stays PATH
+_OUT_DIR = click.Path(file_okay=False, path_type=Path)
+_OUT_FILE = click.Path(dir_okay=False, path_type=Path)
 # what a run's report.json holds, and what of its config evaluate_predictions reads
 _REPORT_KEYS = ("schema_version", "backend_id", "taxonomy", "taxonomy_labels", "config", "rows",
                 "invalid_sessions", "failures")
@@ -32,7 +35,7 @@ def main():
 
 
 @main.command()
-@click.option("--out", "out_dir", type=click.Path(path_type=Path), required=True,
+@click.option("--out", "out_dir", type=_OUT_DIR, metavar="PATH", required=True,
               help="Output directory for corpus/ and fixtures.jsonl.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--n-sessions", type=int, default=20, show_default=True)
@@ -45,6 +48,8 @@ def main():
 def simulate(out_dir, seed, n_sessions, duration_s, caption_flip_p,
              transcript_drop_p, reasoner_flip_p, chunk_lens):
     """Generate a synthetic corpus plus matching backend fixtures."""
+    from . import simulator
+
     try:
         cfg = simulator.SimConfig(
             seed=seed,
@@ -59,11 +64,17 @@ def simulate(out_dir, seed, n_sessions, duration_s, caption_flip_p,
         lens = tuple(int(x) for x in chunk_lens.split(","))
         windowing.check_chunk_lengths(lens)
     except ValueError as exc:
-        raise click.BadParameter(str(exc)) from None
+        raise _usage_error(exc) from None
     out = simulator.generate_corpus(cfg, out_dir, chunk_lens=lens)
     click.echo(f"corpus:   {out.corpus_dir}")
     click.echo(f"taxonomy: {out.taxonomy_path}")
     click.echo(f"fixtures: {out.fixtures_path}")
+
+
+def _usage_error(exc: ValueError) -> click.BadParameter:
+    """A refused option value as a usage error (exit 2), naming the option when it is a BadSettingError's."""
+    hint = f"--{exc.field.replace('_', '-')}" if isinstance(exc, BadSettingError) else None
+    return click.BadParameter(str(exc), param_hint=hint)
 
 
 def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
@@ -77,8 +88,8 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 @main.command(name="run")
 @click.option("--corpus", "corpus_dir", type=_EXISTING_DIR, required=True)
 @click.option("--taxonomy", "taxonomy_path", type=_EXISTING_FILE, required=True)
-@click.option("--report-dir", type=click.Path(path_type=Path), required=True)
-@click.option("--cache-dir", type=click.Path(path_type=Path), default=None,
+@click.option("--report-dir", type=_OUT_DIR, metavar="PATH", required=True)
+@click.option("--cache-dir", type=_OUT_DIR, metavar="PATH", default=None,
               help="Defaults to REPORT_DIR/cache.")
 @click.option("--fixtures", "fixtures_path", type=_EXISTING_FILE, default=None,
               help="Fixture JSONL for the deterministic mock backend.")
@@ -99,16 +110,18 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 @click.option("--template-dir", type=_EXISTING_DIR, default=None)
 def run_command(modes, tasks, chunk_lens, allow_partial, **options):
     """Run extraction, refinement, aggregation, and evaluation."""
+    from . import orchestrator
+    from .backends import EndpointError
+
     try:  # every other option's dest is a RunConfig field
-        cfg = orchestrator.RunConfig(
+        cfg = RunConfig(
             modes=tuple(RefinementMode(m) for m in _parse_multi(modes, _MODE_CHOICES, "mode")),
             tasks=tuple(TaskKind(t) for t in _parse_multi(tasks, _TASK_CHOICES, "task")),
             chunk_lens=tuple(int(x) for x in chunk_lens.split(",")),
             **options,
         )
     except ValueError as exc:  # RunConfig rejects bad option values
-        hint = f"--{exc.field.replace('_', '-')}" if isinstance(exc, orchestrator.BadSettingError) else None
-        raise click.BadParameter(str(exc), param_hint=hint) from None
+        raise _usage_error(exc) from None
     try:
         report = orchestrator.run(cfg)
     except orchestrator.DamagedJournalError as exc:
@@ -127,7 +140,7 @@ def run_command(modes, tasks, chunk_lens, allow_partial, **options):
 @click.option("--corpus", "corpus_dir", type=_EXISTING_DIR, required=True)
 @click.option("--taxonomy", "taxonomy_path", type=_EXISTING_FILE, required=True)
 @click.option("--predictions", "predictions_path", type=_EXISTING_FILE, required=True)
-@click.option("--report-dir", type=click.Path(path_type=Path), required=True)
+@click.option("--report-dir", type=_OUT_DIR, metavar="PATH", required=True)
 def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     """Re-score a run's predictions without touching any backend.
 
@@ -144,14 +157,14 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     run_info = _read_run_report(run_report)
     taxonomy = load_taxonomy(taxonomy_path)
     manifests = load_corpus(corpus_dir, taxonomy)
-    with closing(orchestrator.Scorer(manifests, report_dir)) as scorer:
+    with closing(scoring.Scorer(manifests, report_dir)) as scorer:
         try:
             scorer.read(predictions_path, taxonomy)
-        except orchestrator.BadPredictionsError as exc:  # not a prediction, or out of run order
+        except scoring.BadPredictionsError as exc:  # not a prediction, or out of run order
             click.echo(f"Error: {exc}", err=True)
             sys.exit(2)
-        report = orchestrator.evaluate_predictions(manifests, taxonomy, scorer, run_info)
-        orchestrator.write_report_files(report, scorer, report_dir)
+        report = scoring.evaluate_predictions(manifests, taxonomy, scorer, run_info)
+        scoring.write_report_files(report, scorer, report_dir)
     click.echo(f"report written to {report_dir}")
 
 
@@ -200,7 +213,7 @@ def _read_run_report(path: Path) -> dict:
 
 @main.command(name="report")
 @click.option("--report-json", type=_EXISTING_FILE, required=True)
-@click.option("--out", "out_path", type=click.Path(path_type=Path), default=None,
+@click.option("--out", "out_path", type=_OUT_FILE, metavar="PATH", default=None,
               help="Markdown output path; defaults next to report.json.")
 def report_command(report_json, out_path):
     """Re-render report.md from an existing report.json."""

@@ -3,17 +3,20 @@
 A corpus is a directory with an ``index.json`` listing per-session manifest
 files. Two recording settings are supported: naturalistic sessions carry a
 session-level activity set, diagnostic sessions carry an annotated activity
-timeline plus three binary behavior codes.
+timeline plus three binary behavior codes. The JSONL helpers every other
+module reads and writes its line files with live here, in the lowest module.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import IO, Any, Iterable, Iterator, Mapping
 
 
 class TaskKind(Enum):
@@ -362,3 +365,37 @@ def load_corpus(corpus_dir: str | Path, taxonomy: ActivityTaxonomy) -> list[Sess
         manifests.append(manifest)
     manifests.sort(key=lambda m: m.session_id)
     return manifests
+
+
+# one encoder for every sorted-key JSONL line: ``json.dumps(..., sort_keys=True)`` builds one per call
+SORTED_JSON = json.JSONEncoder(sort_keys=True)
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict[str, Any]]:
+    """The records of a JSONL file, one per non-blank line."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[IO[str]]:
+    """A temp text file that is renamed over ``path`` when the block ends; a failed
+    write removes the temp file and leaves ``path`` whole."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[Mapping[str, Any]]) -> None:
+    """Write one sorted-key JSON record per line, replacing ``path`` whole."""
+    with replacing(path) as fh:
+        for record in records:
+            fh.write(SORTED_JSON.encode(record) + "\n")

@@ -13,18 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
-import tempfile
 import threading
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from . import aggregation, metrics, windowing
+from . import windowing
 from .backends import (
     Backend,
     BackendError,
@@ -34,20 +31,20 @@ from .backends import (
     HttpChatBackend,
     MAX_TOKENS,
     MockBackend,
-    SORTED_JSON,
     TEMPERATURE,
     Role,
     parse_utterances_json,
-    read_jsonl,
-    replacing,
 )
+from .config import JOURNAL_NAME, RunConfig
 from .corpus import (
     ACTIVITY_TASKS,
+    SORTED_JSON,
     ActivityTaxonomy,
     SessionManifest,
     TaskKind,
     load_corpus,
     load_taxonomy,
+    read_jsonl,
 )
 from .parsing import parse_binary, parse_label
 from .prompting import (
@@ -57,14 +54,12 @@ from .prompting import (
     TRANSCRIPTION_PROMPT,
     RefinementMode,
     build_task_prompt,
+    chunk_options,
     load_templates,
 )
+from .scoring import Scorer, evaluate_predictions, write_report_files
 from .windowing import Segment, TranscriptChunk
 
-ALL_MODES = tuple(RefinementMode)
-ALL_TASKS = tuple(TaskKind)
-
-JOURNAL_NAME = "responses.jsonl"  # stands for cache_key's schema: rename it when the key changes
 _DECODING = f"temperature={TEMPERATURE!r};max_tokens={MAX_TOKENS};seed="
 
 
@@ -74,63 +69,6 @@ def cache_key(backend_id: str, request: BackendRequest) -> str:
     parts = "\x1f".join([backend_id, request.role.value, request.session_id, str(request.segment_index),
                          request.prompt_hash, f"{_DECODING}{request.seed}"])
     return hashlib.sha256(parts.encode("utf-8")).hexdigest()
-
-
-class BadSettingError(ValueError):
-    """A RunConfig field set to a value no run can use; ``field`` names it."""
-
-    def __init__(self, field: str, rule: str, value: Any):
-        super().__init__(f"{field} must be {rule}, not {value!r}")
-        self.field = field
-
-
-@dataclass
-class RunConfig:
-    corpus_dir: Path
-    taxonomy_path: Path
-    report_dir: Path
-    cache_dir: Path | None = None  # None: report_dir / "cache"
-    modes: tuple[RefinementMode, ...] = ALL_MODES
-    tasks: tuple[TaskKind, ...] = ALL_TASKS
-    chunk_lens: tuple[int, ...] = (16,)
-    fixtures_path: Path | None = None
-    endpoint: str | None = None
-    model: str = "local-model"
-    api_key: str | None = None
-    concurrency: int = 4
-    seed: int = 0
-    window_s: float = 16.0
-    fps: float = 1.0
-    min_activity_duration_s: float = aggregation.DEFAULT_MIN_ACTIVITY_DURATION_S
-    failure_threshold: float = 0.1
-    template_dir: Path | None = None
-
-    def __post_init__(self):
-        self.corpus_dir = Path(self.corpus_dir)
-        self.taxonomy_path = Path(self.taxonomy_path)
-        self.report_dir = Path(self.report_dir)
-        self.cache_dir = Path(self.cache_dir) if self.cache_dir is not None else self.report_dir / "cache"
-        if stale := sorted(p.name for p in self.cache_dir.glob("*.jsonl") if p.name != JOURNAL_NAME):
-            raise ValueError(f"{self.cache_dir} holds cache files of an older layout: {', '.join(stale)}. Their "
-                             f"lines are journal lines: append them to {JOURNAL_NAME}, or remove them.")
-        # canonical ordering keeps reports byte-stable regardless of input order
-        self.modes = tuple(m for m in RefinementMode if m in set(self.modes))
-        self.tasks = tuple(t for t in TaskKind if t in set(self.tasks))
-        self.chunk_lens = tuple(sorted(set(self.chunk_lens)))
-        if not self.modes or not self.tasks:
-            raise ValueError("need at least one mode and one task")
-        if TRANSCRIPT_MODES & set(self.modes) and not self.chunk_lens:
-            raise ValueError("chunk_lens must be non-empty for transcript-using modes")
-        for name, valid, rule in (  # written so that NaN is out of range too
-            ("concurrency", self.concurrency >= 1, ">= 1"),
-            ("window_s", self.window_s > 0, "> 0"),
-            ("fps", self.fps > 0, "> 0"),
-            ("failure_threshold", 0 <= self.failure_threshold <= 1, "in [0, 1]"),
-            ("min_activity_duration_s", self.min_activity_duration_s >= 0, ">= 0"),
-        ):
-            if not valid:
-                raise BadSettingError(name, rule, getattr(self, name))
-        windowing.check_chunk_lengths(self.chunk_lens)
 
 
 class DamagedJournalError(ValueError):
@@ -306,11 +244,6 @@ class PlannedUnit(NamedTuple):
     transcript: str | None
 
 
-def _chunk_options(mode: RefinementMode, chunk_lens: Sequence[int]) -> Sequence[int | None]:
-    # modes that read the transcript run once per chunk length
-    return chunk_lens if mode in TRANSCRIPT_MODES else (None,)
-
-
 def _caption_request(manifest: SessionManifest, seg: Segment, prompt: str, seed: int | None) -> BackendRequest:
     return BackendRequest(
         role=Role.CAPTIONER, session_id=manifest.session_id, prompt=prompt, segment_index=seg.index,
@@ -403,7 +336,7 @@ def plan_units(
     chunk, gets an empty transcript.
     """
     for mode in modes:
-        for chunk_len in _chunk_options(mode, chunk_lens):
+        for chunk_len in chunk_options(mode, chunk_lens):
             windows = _evidence_windows(mode, segments, captions, chunks.get(chunk_len))
             for task in tasks:
                 if mode is RefinementMode.ZERO_SHOT:
@@ -434,96 +367,6 @@ def prediction_record(unit: PlannedUnit, cache_key: str, answer: str, taxonomy: 
     else:
         record["presence"] = parse_binary(answer).presence
     return record
-
-
-_SEGMENTATION = TaskKind.ACTIVITY_SEGMENTATION.value
-
-
-class BadPredictionsError(ValueError):
-    """A predictions.jsonl line that cannot be scored."""
-
-
-class OutOfOrderError(BadPredictionsError):
-    """A prediction that does not come after the one before it in its group in run order."""
-
-
-class Scorer:
-    """Predictions as they arrive, kept only as small per-session summaries.
-
-    Each prediction is its predictions.jsonl record. Within each (mode, chunk
-    length, task) group, predictions must arrive in run order: by session, then
-    window. Each one's line goes to its group's spill file, an anonymous
-    temporary file in ``spill_dir``, and its window is added to its session's
-    summary in ``summaries``, by (mode, chunk length, task, session) as the
-    records name them. So the spill files joined in group order are
-    predictions.jsonl, and every sum adds up in window order.
-    """
-
-    def __init__(self, manifests: Sequence[SessionManifest], spill_dir: Path):
-        self._timelines = {m.session_id: m.ground_truth.activity_timeline for m in manifests}
-        self._spill_dir = Path(spill_dir)
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        # by group: its spill file, the (session, window) it took last and that session's summary
-        self._groups: dict[tuple[str, str, str], list] = {}
-        self.summaries: dict[tuple[str, str, str, str], aggregation.SessionSummary] = {}
-
-    def add(self, record: dict[str, Any]) -> None:
-        """Take one prediction; OutOfOrderError if it does not follow its group's last one."""
-        group = (record["mode"], str(record["chunk_len_s"]), record["task"])
-        at = (record["session_id"], record["unit_index"])
-        state = self._groups.get(group)
-        if state is None:
-            spill = tempfile.TemporaryFile("w+", encoding="utf-8", dir=self._spill_dir)
-            state = self._groups[group] = [spill, None, None]
-        spill, last, summary = state
-        if last is None or at[0] != last[0]:
-            if last is not None and at < last:
-                raise OutOfOrderError(f"{'/'.join(group)}: session {at[0]} comes after session {last[0]}")
-            summary = state[2] = self.summaries[(*group, at[0])] = aggregation.SessionSummary()
-        elif at[1] <= last[1]:
-            raise OutOfOrderError(f"{'/'.join(group)}: window {at[1]} of session {at[0]} "
-                                  f"comes after window {last[1]}")
-        state[1] = at
-        spill.write(SORTED_JSON.encode(record) + "\n")
-        gold = None
-        if group[2] == _SEGMENTATION and (timeline := self._timelines.get(at[0])) is not None:
-            gold = metrics.resolve_segment_gold(
-                Segment(session_id=at[0], index=at[1], start_s=record["start_s"], end_s=record["end_s"],
-                        frame_timestamps_s=()), timeline)
-        summary.add(record, gold)
-
-    def read(self, path: Path, taxonomy: ActivityTaxonomy) -> None:
-        """Add every prediction of a predictions.jsonl file, each checked by
-        ``aggregation.check_prediction`` and taken as it is. A line that is not a
-        prediction record raises BadPredictionsError, and one out of run order
-        OutOfOrderError; both name the file and the line."""
-        with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        record = json.loads(line)
-                        aggregation.check_prediction(record, taxonomy)
-                    except KeyError as exc:
-                        raise BadPredictionsError(f"{path}: line {number} has no field {exc}") from None
-                    except (ValueError, TypeError) as exc:  # not JSON, not an object, or a bad value
-                        raise BadPredictionsError(f"{path}: line {number} is not a prediction: {exc}") from None
-                    try:
-                        self.add(record)
-                    except OutOfOrderError as exc:
-                        raise OutOfOrderError(f"{path}: line {number} is out of run order: {exc}") from None
-
-    def write_predictions(self, path: Path) -> None:
-        """predictions.jsonl: the spill files joined in group order."""
-        with replacing(path) as out:
-            for group in sorted(self._groups):
-                spill = self._groups[group][0]
-                spill.seek(0)
-                shutil.copyfileobj(spill, out)
-
-    def close(self) -> None:
-        """Close, and so delete, the spill files."""
-        for spill, _, _ in self._groups.values():
-            spill.close()
 
 
 def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
@@ -609,112 +452,6 @@ def run(cfg: RunConfig, backend: Backend | None = None) -> dict:
         report = evaluate_predictions(manifests, taxonomy, scorer, run_info)
         write_report_files(report, scorer, cfg.report_dir)
     return report
-
-
-def evaluate_predictions(
-    manifests: Sequence[SessionManifest],
-    taxonomy: ActivityTaxonomy,
-    scorer: Scorer,
-    run_info: Mapping[str, Any],
-) -> dict:
-    """Score the predictions a scorer took against corpus ground truth: the
-    report.json document, with one row per (mode, chunk length) configuration.
-
-    ``run_info`` holds what the run decided: ``backend_id``, ``config`` (its
-    settings, whose modes, tasks, chunk lengths and activity duration threshold
-    are scored here), ``invalid_sessions`` and ``failures``. A run's own
-    report.json has these keys; its other keys are ignored. The summaries of
-    invalid sessions, and of sessions outside the corpus, are not read.
-    """
-    config = run_info["config"]
-    modes = [RefinementMode(m) for m in config["modes"]]
-    tasks = [TaskKind(t) for t in config["tasks"]]
-    invalid = set(run_info["invalid_sessions"])
-
-    rows = []
-    for mode in modes:
-        for chunk_len in _chunk_options(mode, config["chunk_lens"]):
-            cells: dict[str, float | None] = {}
-            per_class: dict[str, dict[str, float]] = {}
-            n_sessions: dict[str, int] = {}
-            notes: dict[str, str] = {}
-            for task in tasks:
-                sessions = [
-                    m for m in manifests
-                    if m.session_id not in invalid and _has_gold(m, task)
-                ]
-                n_sessions[task.value] = len(sessions)
-                if not sessions:
-                    cells[task.value] = None
-                    notes[task.value] = "no sessions with gold labels"
-                    continue
-                group = (mode.value, str(chunk_len), task.value)
-                summaries = [(m, scorer.summaries.get((*group, m.session_id))) for m in sessions]
-                if task is TaskKind.ACTIVITY_RECOGNITION:
-                    min_duration_s = config["min_activity_duration_s"]
-                    cells[task.value], per_class[task.value] = metrics.macro_f1_multilabel(
-                        {m.session_id: s.activities(min_duration_s) if s else frozenset() for m, s in summaries},
-                        {m.session_id: m.ground_truth.session_activities for m, s in summaries},
-                        taxonomy)
-                elif task is TaskKind.ACTIVITY_SEGMENTATION:
-                    outcomes = sum((s.outcomes for _, s in summaries if s), Counter())
-                    cells[task.value], per_class[task.value] = metrics.macro_f1_outcomes(outcomes, taxonomy)
-                else:
-                    ranked = [
-                        metrics.RankedScore(session_id=m.session_id, score=s.ratio,
-                                            gold_presence=bool(m.ground_truth.e_flag(task)))
-                        for m, s in summaries if s
-                    ]
-                    n_sessions[task.value] = len(ranked)
-                    try:
-                        cells[task.value] = metrics.pr_auc(ranked)
-                    except metrics.NoPositivesError:
-                        cells[task.value] = None
-                        notes[task.value] = "no Presence sessions in gold"
-            rows.append({"mode": mode.value, "chunk_len_s": chunk_len, "metrics": cells,
-                         "per_class": per_class, "n_sessions": n_sessions, "notes": notes})
-
-    return {
-        "schema_version": 1,
-        "backend_id": run_info["backend_id"],
-        "taxonomy": taxonomy.name,
-        "taxonomy_labels": list(taxonomy.labels),
-        "config": config,
-        "rows": rows,
-        "invalid_sessions": sorted(invalid & {m.session_id for m in manifests}),
-        "failures": list(run_info["failures"]),
-    }
-
-
-def report_row(report: dict, mode: RefinementMode, chunk_len_s: int | None = None) -> dict:
-    """The row of a report.json document for one (mode, chunk length) configuration."""
-    for row in report["rows"]:
-        if row["mode"] == mode.value and row["chunk_len_s"] == chunk_len_s:
-            return row
-    raise KeyError(f"no report row for mode={mode.value} chunk_len={chunk_len_s}")
-
-
-def _has_gold(manifest: SessionManifest, task: TaskKind) -> bool:
-    gt = manifest.ground_truth
-    if task is TaskKind.ACTIVITY_RECOGNITION:
-        return gt.session_activities is not None
-    if task is TaskKind.ACTIVITY_SEGMENTATION:
-        return gt.activity_timeline is not None
-    return gt.e_flag(task) is not None
-
-
-def write_report_files(report: dict, scorer: Scorer, report_dir: Path) -> None:
-    """Write report.json, report.md and the scorer's predictions.jsonl, each
-    replaced whole."""
-    from .reporting import render_markdown
-
-    report_dir = Path(report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    with replacing(report_dir / "report.json") as fh:
-        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    with replacing(report_dir / "report.md") as fh:
-        fh.write(render_markdown(report))
-    scorer.write_predictions(report_dir / "predictions.jsonl")
 
 
 def load_predictions(path: str | Path) -> list[dict[str, Any]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 from .corpus import ACTIVITY_TASKS, ActivityTaxonomy, TaskKind
 
@@ -23,6 +24,12 @@ class RefinementMode(Enum):
 # modes whose prompts embed a caption, and those that embed a transcript chunk
 CAPTION_MODES = frozenset({RefinementMode.VIDEO_ONLY, RefinementMode.MULTIMODAL})
 TRANSCRIPT_MODES = frozenset({RefinementMode.TRANSCRIPT_ONLY, RefinementMode.MULTIMODAL})
+
+
+def chunk_options(mode: RefinementMode, chunk_lens: Sequence[int]) -> Sequence[int | None]:
+    """The chunk lengths a mode runs at: modes that read the transcript run once
+    per chunk length, the others once, with no chunk length."""
+    return chunk_lens if mode in TRANSCRIPT_MODES else (None,)
 
 
 def check_chunk_len(mode: RefinementMode, chunk_len: object) -> None:

@@ -12,13 +12,15 @@ shifts the noise applied elsewhere.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import aggregation, corpus, metrics, windowing
-from .backends import BackendRequest, Role, utterances_to_json, write_jsonl
+from .backends import BackendRequest, Role, utterances_to_json
+from .config import ALL_MODES, ALL_TASKS, BadSettingError, RunConfig
 from .corpus import (
     ACTIVITY_TASKS,
     E_TASKS,
@@ -28,14 +30,11 @@ from .corpus import (
     SessionManifest,
     TaskKind,
     TimelineEntry,
+    write_jsonl,
 )
-from .orchestrator import ALL_MODES, ALL_TASKS, RunConfig, plan_extraction, plan_units, transcript_chunks
+from .orchestrator import plan_extraction, plan_units, transcript_chunks
 from .prompting import TRANSCRIPT_MODES, RefinementMode
 from .windowing import Segment, TimedUtterance
-
-
-class InvalidConfigError(ValueError):
-    pass
 
 
 # Taxonomy labels must not occur inside the generator's scaffold sentences or
@@ -85,7 +84,7 @@ class NoiseSpec:
         for name in ("caption_flip_p", "transcript_drop_p", "reasoner_flip_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise InvalidConfigError(f"{name} must be in [0, 1], got {p}")
+                raise BadSettingError(name, "in [0, 1]", p)
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,9 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_sessions < 1:
-            raise InvalidConfigError(f"n_sessions must be >= 1, got {self.n_sessions}")
-        if self.duration_s <= 0:
-            raise InvalidConfigError(f"duration_s must be > 0, got {self.duration_s}")
+            raise BadSettingError("n_sessions", ">= 1", self.n_sessions)
+        if not 0 < self.duration_s < math.inf:  # NaN fails too
+            raise BadSettingError("duration_s", "finite and > 0", self.duration_s)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from sessionpipe import orchestrator
 from sessionpipe.aggregation import lift_session
 from sessionpipe.backends import FixtureStore, HttpChatBackend, MockBackend
+from sessionpipe.config import RunConfig
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
-from sessionpipe.orchestrator import report_row
 from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
+from sessionpipe.scoring import report_row
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import fill_chunks, plan_segments, plan_transcript_chunks
 
@@ -62,7 +63,7 @@ def run_pipeline(tmp_path, sim_cfg, modes, tasks, chunk_lens, sim_dir="sim",
                  report_dir="report", cache_dir=None, backend=None):
     out = generate_corpus(sim_cfg, tmp_path / sim_dir, tasks=tasks, modes=modes,
                           chunk_lens=chunk_lens)
-    cfg = orchestrator.RunConfig(
+    cfg = RunConfig(
         corpus_dir=out.corpus_dir,
         taxonomy_path=out.taxonomy_path,
         report_dir=tmp_path / report_dir,
@@ -229,7 +230,7 @@ def test_determinism_and_idempotence(tmp_path):
 
     _, out, cfg1 = run_pipeline(tmp_path, sim_cfg, modes, tasks, (16,),
                                 sim_dir="sim", report_dir="report1", cache_dir="cache1")
-    cfg2 = orchestrator.RunConfig(
+    cfg2 = RunConfig(
         corpus_dir=out.corpus_dir, taxonomy_path=out.taxonomy_path,
         report_dir=tmp_path / "report2", cache_dir=tmp_path / "cache2",
         fixtures_path=out.fixtures_path, modes=modes, tasks=tasks, chunk_lens=(16,),
@@ -274,7 +275,7 @@ def test_wire_protocol_conformance(tmp_path):
     store = FixtureStore.load_jsonl(out.fixtures_path)
 
     def config(report_dir):
-        return orchestrator.RunConfig(
+        return RunConfig(
             corpus_dir=out.corpus_dir, taxonomy_path=out.taxonomy_path,
             report_dir=tmp_path / report_dir, fixtures_path=out.fixtures_path,
             modes=modes, tasks=tasks, chunk_lens=chunk_lens, concurrency=8,

@@ -11,8 +11,8 @@ from sessionpipe.aggregation import (
     check_prediction,
     lift_session,
 )
-from sessionpipe.backends import SORTED_JSON, BackendRequest, Role
-from sessionpipe.corpus import ACTIVITY_TASKS, ActivityTaxonomy, TaskKind
+from sessionpipe.backends import BackendRequest, Role
+from sessionpipe.corpus import ACTIVITY_TASKS, SORTED_JSON, ActivityTaxonomy, TaskKind
 from sessionpipe.orchestrator import PlannedUnit, prediction_record
 from sessionpipe.prompting import TRANSCRIPT_MODES, RefinementMode
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, Segment, TranscriptChunk

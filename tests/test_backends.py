@@ -38,13 +38,13 @@ from sessionpipe.backends import (
     UnparseableTimestampsError,
     parse_utterances_json,
     prompt_sha256,
-    read_jsonl,
     tls_context,
     utterances_to_json,
-    write_jsonl,
 )
+from sessionpipe.config import RunConfig
+from sessionpipe.corpus import read_jsonl, write_jsonl
 from sessionpipe.fixture_server import FixtureChatServer
-from sessionpipe.orchestrator import RunConfig, run
+from sessionpipe.orchestrator import run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import SimConfig, generate_corpus
 from sessionpipe.windowing import TimedUtterance

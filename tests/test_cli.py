@@ -1,12 +1,16 @@
 import errno
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from sessionpipe import backends
-from sessionpipe.backends import read_jsonl, write_jsonl
+import sessionpipe
+from sessionpipe import corpus
+from sessionpipe.corpus import read_jsonl, write_jsonl
 from sessionpipe.cli import main
 
 
@@ -106,26 +110,41 @@ def test_run_rejects_an_endpoint_no_request_can_reach(runner, sim_tree, tmp_path
     assert not (tmp_path / "report" / "cache").exists()
 
 
-@pytest.mark.parametrize("command,option", [
-    ("run", "--corpus"), ("run", "--taxonomy"), ("run", "--fixtures"), ("run", "--template-dir"),
-    ("evaluate", "--corpus"), ("evaluate", "--taxonomy"), ("evaluate", "--predictions"),
-    ("report", "--report-json"),
-])
-def test_a_missing_input_path_names_its_option(runner, sim_tree, tmp_path, command, option):
+# (command, option, what it is given): a missing input, or an existing path of the wrong kind
+PATH_CASES = [
+    ("run", "--corpus", "absent"), ("run", "--taxonomy", "absent"), ("run", "--fixtures", "absent"),
+    ("run", "--template-dir", "absent"),
+    ("evaluate", "--corpus", "absent"), ("evaluate", "--taxonomy", "absent"), ("evaluate", "--predictions", "absent"),
+    ("report", "--report-json", "absent"),
+    ("run", "--report-dir", "file"), ("run", "--cache-dir", "file"), ("evaluate", "--report-dir", "file"),
+    ("report", "--out", "directory"), ("simulate", "--out", "file"),
+]
+_PATH_MESSAGES = {"absent": "does not exist", "file": "is a file", "directory": "is a directory"}
+
+
+@pytest.mark.parametrize("command,option,given", PATH_CASES,
+                         ids=[f"{c}-{o}" + (f"-{g}" if g != "absent" else "") for c, o, g in PATH_CASES])
+def test_a_missing_input_path_names_its_option(runner, sim_tree, tmp_path, command, option, given):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     if command == "run":
-        args = _run_args(sim_tree, tmp_path / "again", **{"--template-dir": str(tmp_path)})
+        args = _run_args(sim_tree, tmp_path / "again", **{"--template-dir": str(tmp_path),
+                                                          "--cache-dir": str(tmp_path / "again" / "cache")})
     elif command == "report":
         args = ["report", "--report-json", str(tmp_path / "report" / "report.json"),
                 "--out", str(tmp_path / "rescored")]
+    elif command == "simulate":
+        args = ["simulate", "--out", str(tmp_path / "again")]
     else:
         args = _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl", tmp_path / "rescored")
-    args[args.index(option) + 1] = str(tmp_path / "absent")
+    wrong = {"absent": tmp_path / "absent", "file": tmp_path / "report" / "report.json", "directory": tmp_path}[given]
+    args[args.index(option) + 1] = str(wrong)
+    before = {p: p.read_bytes() for p in (tmp_path / "report").rglob("*") if p.is_file()}
     result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert f"Invalid value for '{option}'" in result.output and "does not exist" in result.output
+    assert f"Invalid value for '{option}'" in result.output and _PATH_MESSAGES[given] in result.output
     assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)  # no other exception
     assert not (tmp_path / "again").exists() and not (tmp_path / "rescored").exists()
+    assert {p: p.read_bytes() for p in (tmp_path / "report").rglob("*") if p.is_file()} == before
 
 
 def test_run_exits_nonzero_on_invalid_session(runner, sim_tree, tmp_path):
@@ -334,7 +353,7 @@ def test_a_report_write_that_fails_partway_leaves_the_previous_report(runner, si
             fh.write = half
         return fh
 
-    monkeypatch.setattr(backends, "open", disk_full_midway, raising=False)
+    monkeypatch.setattr(corpus, "open", disk_full_midway, raising=False)
     rerun = runner.invoke(main, _run_args(sim_tree, tmp_path, **{"--min-activity-duration-s": "48"}))
     assert isinstance(rerun.exception, OSError) and rerun.exception.errno == errno.ENOSPC
     assert {p.name: p.read_bytes() for p in report_dir.iterdir() if p.is_file()} == before
@@ -385,6 +404,15 @@ BAD_RUN_OPTIONS = [
     ("--failure-threshold", "nan", "Invalid value for --failure-threshold: failure_threshold must be in [0, 1]"),
     ("--min-activity-duration-s", "-1", "Invalid value for --min-activity-duration-s: "
                                         "min_activity_duration_s must be >= 0, not -1.0"),
+    # not finite: inf is refused, and NaN too
+    ("--window-s", "inf", "Invalid value for --window-s: window_s must be finite, not inf"),
+    ("--window-s", "nan", "Invalid value for --window-s: window_s must be > 0, not nan"),
+    ("--fps", "inf", "Invalid value for --fps: fps must be finite, not inf"),
+    ("--fps", "nan", "Invalid value for --fps: fps must be > 0, not nan"),
+    ("--min-activity-duration-s", "inf", "Invalid value for --min-activity-duration-s: "
+                                         "min_activity_duration_s must be finite, not inf"),
+    ("--min-activity-duration-s", "nan", "Invalid value for --min-activity-duration-s: "
+                                         "min_activity_duration_s must be >= 0, not nan"),
     ("--concurrency", "0", "Invalid value for --concurrency: concurrency must be >= 1, not 0"),
 ]
 
@@ -404,3 +432,50 @@ def test_simulate_rejects_bad_chunk_lens(runner, tmp_path, value):
     result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "sim"), "--chunk-lens", value])
     assert result.exit_code == 2, result.output
     assert not (tmp_path / "sim").exists()
+
+
+BAD_SIMULATE_OPTIONS = [
+    ("--duration-s", "0", "Invalid value for --duration-s: duration_s must be finite and > 0, not 0.0"),
+    ("--duration-s", "inf", "Invalid value for --duration-s: duration_s must be finite and > 0, not inf"),
+    ("--duration-s", "nan", "Invalid value for --duration-s: duration_s must be finite and > 0, not nan"),
+    ("--n-sessions", "0", "Invalid value for --n-sessions: n_sessions must be >= 1, not 0"),
+    ("--caption-flip-p", "nan", "Invalid value for --caption-flip-p: caption_flip_p must be in [0, 1], not nan"),
+]
+
+
+@pytest.mark.parametrize("option,value,message", BAD_SIMULATE_OPTIONS,
+                         ids=[f"{option}-{value}" for option, value, _ in BAD_SIMULATE_OPTIONS])
+def test_simulate_names_an_option_out_of_range(runner, tmp_path, option, value, message):
+    result = runner.invoke(main, ["simulate", "--out", str(tmp_path / "sim"), option, value])
+    assert result.exit_code == 2, result.output
+    assert "Usage:" in result.output and message in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "sim").exists()
+
+
+# what only a run loads: the HTTP client, the thread pool, the run engine and the simulator
+_RUN_ONLY_MODULES = ("requests", "http.client", "ssl", "concurrent.futures",
+                     "sessionpipe.backends", "sessionpipe.orchestrator", "sessionpipe.simulator")
+_PROBE = f"""
+import sys
+from sessionpipe.cli import main
+try:
+    main(sys.argv[1:], prog_name="sessionpipe")
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(" ".join(name for name in {_RUN_ONLY_MODULES!r} if name in sys.modules) or "none")
+"""
+
+
+def test_evaluate_report_and_help_load_no_run_code(runner, sim_tree, tmp_path):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    report_json = tmp_path / "report" / "report.json"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(sessionpipe.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    for args in (_evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl", tmp_path / "rescored"),
+                 ["report", "--report-json", str(report_json), "--out", str(tmp_path / "again.md")],
+                 ["--help"]):
+        probe = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True, text=True, env=env)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout.splitlines()[-1] == "none", (args[0], probe.stdout)
+    assert (tmp_path / "rescored" / "report.json").read_bytes() == report_json.read_bytes()

@@ -26,9 +26,10 @@ from sessionpipe.backends import (
     MalformedResponseError,
     MockBackend,
     TransportError,
-    read_jsonl,
 )
-from sessionpipe.orchestrator import RunConfig, load_predictions, run
+from sessionpipe.config import RunConfig
+from sessionpipe.corpus import read_jsonl
+from sessionpipe.orchestrator import load_predictions, run
 from sessionpipe.simulator import NoiseSpec, SimConfig, SimOutput, generate_corpus
 
 from .faults import FaultyBackend, Killed

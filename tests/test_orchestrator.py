@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessionpipe import orchestrator
+from sessionpipe import config, orchestrator, scoring
 from sessionpipe.backends import (
     Backend,
     BackendRequest,
@@ -20,12 +20,13 @@ from sessionpipe.backends import (
     MockBackend,
     Role,
     TransportError,
-    read_jsonl,
 )
-from sessionpipe.corpus import TaskKind
+from sessionpipe.config import RunConfig
+from sessionpipe.corpus import TaskKind, read_jsonl
 from sessionpipe.fixture_server import FixtureChatServer
-from sessionpipe.orchestrator import ResponseCache, RunConfig, load_predictions, report_row, run
+from sessionpipe.orchestrator import ResponseCache, load_predictions, run
 from sessionpipe.prompting import RefinementMode
+from sessionpipe.scoring import report_row
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
 
@@ -465,9 +466,9 @@ class TestEvaluateFromPredictions:
 
         taxonomy = load_taxonomy(cfg.taxonomy_path)
         manifests = load_corpus(cfg.corpus_dir, taxonomy)
-        with closing(orchestrator.Scorer(manifests, tmp_path / "rescored")) as scorer:
+        with closing(scoring.Scorer(manifests, tmp_path / "rescored")) as scorer:
             scorer.read(cfg.report_dir / "predictions.jsonl", taxonomy)
-            assert orchestrator.evaluate_predictions(manifests, taxonomy, scorer, report) == report
+            assert scoring.evaluate_predictions(manifests, taxonomy, scorer, report) == report
 
 
 class TestRunConfigValidation:
@@ -541,7 +542,7 @@ def test_cache_key_changes_with_any_one_request_input(fields, data):
 def test_cache_key_is_pinned_to_the_journal_name(backend_id, request_, digest):
     # every journal line is addressed by these digests: a key that changes must come with a new JOURNAL_NAME,
     # so that a cache written under the old key is refused instead of silently missed
-    assert orchestrator.JOURNAL_NAME == "responses.jsonl"
+    assert config.JOURNAL_NAME == "responses.jsonl"
     assert orchestrator.cache_key(backend_id, request_) == digest
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from sessionpipe.orchestrator import RunConfig, run
+from sessionpipe.config import RunConfig
+from sessionpipe.orchestrator import run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.reporting import render_markdown
 from sessionpipe.simulator import SimConfig, generate_corpus

@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
-from sessionpipe.backends import Backend, FixtureStore, MockBackend, read_jsonl, write_jsonl
+from sessionpipe.backends import Backend, FixtureStore, MockBackend
 from sessionpipe.cli import main
-from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, write_corpus
-from sessionpipe.orchestrator import RunConfig, run
+from sessionpipe.config import RunConfig
+from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, read_jsonl, write_corpus, write_jsonl
+from sessionpipe.orchestrator import run
 from sessionpipe.parsing import ParsedBinary, ParsedLabel
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus

@@ -1,12 +1,12 @@
 import pytest
 
-from sessionpipe.backends import prompt_sha256, read_jsonl
-from sessionpipe.corpus import E_TASKS, TaskKind, load_corpus, load_taxonomy
+from sessionpipe.backends import prompt_sha256
+from sessionpipe.config import BadSettingError
+from sessionpipe.corpus import E_TASKS, TaskKind, load_corpus, load_taxonomy, read_jsonl
 from sessionpipe.prompting import DESCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import (
     ACTIVITY_DWELL_S,
     E_BASE_RATES,
-    InvalidConfigError,
     NoiseSpec,
     SimConfig,
     _build_session,
@@ -21,15 +21,15 @@ def build_manifests(cfg):
 
 class TestConfigValidation:
     def test_bad_probability(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(BadSettingError):
             NoiseSpec(caption_flip_p=1.5)
 
     def test_bad_session_count(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(BadSettingError):
             SimConfig(seed=0, n_sessions=0)
 
     def test_bad_duration(self):
-        with pytest.raises(InvalidConfigError):
+        with pytest.raises(BadSettingError):
             SimConfig(seed=0, duration_s=-1.0)
 
 
