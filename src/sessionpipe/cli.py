@@ -211,9 +211,16 @@ def _read_run_report(path: Path) -> dict:
     return doc
 
 
+def _in_existing_dir(ctx, param, path: Path | None) -> Path | None:
+    """An output file is written beside itself and renamed into place, so its directory must exist."""
+    if path is not None and not path.parent.is_dir():
+        raise click.BadParameter(f"directory '{path.parent}' does not exist")
+    return path
+
+
 @main.command(name="report")
 @click.option("--report-json", type=_EXISTING_FILE, required=True)
-@click.option("--out", "out_path", type=_OUT_FILE, metavar="PATH", default=None,
+@click.option("--out", "out_path", type=_OUT_FILE, metavar="PATH", default=None, callback=_in_existing_dir,
               help="Markdown output path; defaults next to report.json.")
 def report_command(report_json, out_path):
     """Re-render report.md from an existing report.json."""

@@ -19,7 +19,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from itertools import islice
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import IO, Any, Iterable, Iterator, TypeVar
 
 from . import windowing
 from .backends import (
@@ -28,7 +28,6 @@ from .backends import (
     BackendRequest,
     BackendResponse,
     FixtureStore,
-    HttpChatBackend,
     MAX_TOKENS,
     MockBackend,
     TEMPERATURE,
@@ -36,29 +35,14 @@ from .backends import (
     parse_utterances_json,
 )
 from .config import JOURNAL_NAME, RunConfig
-from .corpus import (
-    ACTIVITY_TASKS,
-    SORTED_JSON,
-    ActivityTaxonomy,
-    SessionManifest,
-    TaskKind,
-    load_corpus,
-    load_taxonomy,
-    read_jsonl,
-)
+from .corpus import ACTIVITY_TASKS, SORTED_JSON, ActivityTaxonomy, load_corpus, load_taxonomy, read_jsonl
+from .http_backend import HttpChatBackend
 from .parsing import parse_binary, parse_label
-from .prompting import (
-    CAPTION_MODES,
-    DESCRIPTION_PROMPT,
-    TRANSCRIPT_MODES,
-    TRANSCRIPTION_PROMPT,
-    RefinementMode,
-    build_task_prompt,
-    chunk_options,
-    load_templates,
-)
+from .planning import PlannedUnit, plan_extraction, plan_units, transcript_chunks
+# build_task_prompt is not called here: perfbench/traced_cli.py looks it up in this module
+from .prompting import build_task_prompt, load_templates
 from .scoring import Scorer, evaluate_predictions, write_report_files
-from .windowing import Segment, TranscriptChunk
+from .windowing import TranscriptChunk
 
 _DECODING = f"temperature={TEMPERATURE!r};max_tokens={MAX_TOKENS};seed="
 
@@ -230,127 +214,6 @@ class _BuiltOnFirstRequest(Backend):
     def close(self) -> None:
         if self._backend is not None:
             self._backend.close()
-
-
-class PlannedUnit(NamedTuple):
-    """One task request of the run plan, with the evidence its prompt embeds."""
-
-    task: TaskKind
-    mode: RefinementMode
-    chunk_len_s: int | None
-    window: Segment | TranscriptChunk
-    request: BackendRequest
-    caption: str | None
-    transcript: str | None
-
-
-def _caption_request(manifest: SessionManifest, seg: Segment, prompt: str, seed: int | None) -> BackendRequest:
-    return BackendRequest(
-        role=Role.CAPTIONER, session_id=manifest.session_id, prompt=prompt, segment_index=seg.index,
-        media_ref=manifest.video_ref, frame_timestamps_s=seg.frame_timestamps_s, seed=seed,
-    )
-
-
-def plan_extraction(
-    manifest: SessionManifest,
-    segments: Sequence[Segment],
-    modes: Sequence[RefinementMode],
-    seed: int | None,
-) -> list[BackendRequest]:
-    """The caption (one per segment) and transcript requests of one session."""
-    requests = []
-    if CAPTION_MODES & set(modes):
-        requests.extend(_caption_request(manifest, seg, DESCRIPTION_PROMPT, seed) for seg in segments)
-    if TRANSCRIPT_MODES & set(modes):
-        requests.append(
-            BackendRequest(
-                role=Role.TRANSCRIBER, session_id=manifest.session_id, prompt=TRANSCRIPTION_PROMPT,
-                segment_index=None, media_ref=manifest.audio_ref, seed=seed,
-            )
-        )
-    return requests
-
-
-def transcript_chunks(
-    manifest: SessionManifest, utterances: Sequence[windowing.TimedUtterance], chunk_lens: Sequence[int]
-) -> dict[int, list[TranscriptChunk]]:
-    """A session's transcript, aligned to the chunks of each chunk length."""
-    return {
-        length: windowing.fill_chunks(
-            windowing.plan_transcript_chunks(manifest.media_duration_s, length, session_id=manifest.session_id),
-            utterances,
-        )
-        for length in chunk_lens
-    }
-
-
-def _evidence_windows(
-    mode: RefinementMode,
-    segments: Sequence[Segment],
-    captions: Mapping[int, str],
-    chunks: Sequence[TranscriptChunk] | None,
-) -> list[tuple[Segment | TranscriptChunk, str | None, str | None]]:
-    """(window, caption, transcript) for each unit of one mode and chunk length.
-
-    ``chunks`` is None when the session's transcript extraction failed.
-    """
-    if mode is RefinementMode.ZERO_SHOT:
-        return [(seg, None, None) for seg in segments]
-    if mode is RefinementMode.TRANSCRIPT_ONLY:
-        return [(chunk, None, chunk.text) for chunk in chunks or ()]
-    if mode is RefinementMode.MULTIMODAL and chunks is None:
-        return []  # transcript extraction failed; counted there
-    windows: list[tuple[Segment | TranscriptChunk, str | None, str | None]] = []
-    for seg in segments:
-        caption = captions.get(seg.index)
-        if caption is None:
-            continue  # caption extraction failed; counted there
-        transcript = None
-        if mode is RefinementMode.MULTIMODAL:
-            chunk = windowing.chunk_covering(chunks, seg.midpoint_s)
-            transcript = chunk.text if chunk is not None else ""
-        windows.append((seg, caption, transcript))
-    return windows
-
-
-def plan_units(
-    manifest: SessionManifest,
-    segments: Sequence[Segment],
-    captions: Mapping[int, str],
-    chunks: Mapping[int, Sequence[TranscriptChunk]],
-    modes: Sequence[RefinementMode],
-    tasks: Sequence[TaskKind],
-    chunk_lens: Sequence[int],
-    taxonomy: ActivityTaxonomy,
-    templates: dict[str, str] | None,
-    seed: int | None,
-) -> Iterator[PlannedUnit]:
-    """Every task request of one session, by mode, chunk length, task, window,
-    planned one at a time as they are read.
-
-    Zero-shot asks the captioner about each segment directly; the other modes
-    ask the reasoner about the extracted evidence. Segments without a caption
-    (their extraction failed and was counted there) are left out, and so is
-    multimodal when the session has no transcript (its extraction failed). A
-    segment past the last transcript chunk, or in a session too short for any
-    chunk, gets an empty transcript.
-    """
-    for mode in modes:
-        for chunk_len in chunk_options(mode, chunk_lens):
-            windows = _evidence_windows(mode, segments, captions, chunks.get(chunk_len))
-            for task in tasks:
-                if mode is RefinementMode.ZERO_SHOT:
-                    prompt = build_task_prompt(mode, task, None, None, taxonomy, templates)
-                for window, caption, transcript in windows:
-                    if mode is RefinementMode.ZERO_SHOT:
-                        request = _caption_request(manifest, window, prompt, seed)
-                    else:
-                        request = BackendRequest(
-                            role=Role.REASONER, session_id=manifest.session_id,
-                            prompt=build_task_prompt(mode, task, caption, transcript, taxonomy, templates),
-                            segment_index=window.index, seed=seed,
-                        )
-                    yield PlannedUnit(task, mode, chunk_len, window, request, caption, transcript)
 
 
 def prediction_record(unit: PlannedUnit, cache_key: str, answer: str, taxonomy: ActivityTaxonomy) -> dict[str, Any]:

@@ -32,7 +32,7 @@ from .corpus import (
     TimelineEntry,
     write_jsonl,
 )
-from .orchestrator import plan_extraction, plan_units, transcript_chunks
+from .planning import plan_extraction, plan_units, transcript_chunks
 from .prompting import TRANSCRIPT_MODES, RefinementMode
 from .windowing import Segment, TimedUtterance
 

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from sessionpipe import orchestrator
 from sessionpipe.aggregation import lift_session
-from sessionpipe.backends import FixtureStore, HttpChatBackend, MockBackend
+from sessionpipe.backends import FixtureStore, MockBackend
 from sessionpipe.config import RunConfig
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
+from sessionpipe.http_backend import HttpChatBackend
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
 from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.scoring import report_row

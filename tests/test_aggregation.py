@@ -13,7 +13,8 @@ from sessionpipe.aggregation import (
 )
 from sessionpipe.backends import BackendRequest, Role
 from sessionpipe.corpus import ACTIVITY_TASKS, SORTED_JSON, ActivityTaxonomy, TaskKind
-from sessionpipe.orchestrator import PlannedUnit, prediction_record
+from sessionpipe.orchestrator import prediction_record
+from sessionpipe.planning import PlannedUnit
 from sessionpipe.prompting import TRANSCRIPT_MODES, RefinementMode
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, Segment, TranscriptChunk
 

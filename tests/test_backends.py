@@ -22,14 +22,13 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sessionpipe import backends
+from sessionpipe import http_backend
 from sessionpipe.backends import (
     BackendExhaustedError,
     BackendRequest,
     EndpointError,
     FixtureMissError,
     FixtureStore,
-    HttpChatBackend,
     MalformedResponseError,
     MockBackend,
     RequestRejectedError,
@@ -38,12 +37,12 @@ from sessionpipe.backends import (
     UnparseableTimestampsError,
     parse_utterances_json,
     prompt_sha256,
-    tls_context,
     utterances_to_json,
 )
 from sessionpipe.config import RunConfig
 from sessionpipe.corpus import read_jsonl, write_jsonl
 from sessionpipe.fixture_server import FixtureChatServer
+from sessionpipe.http_backend import HttpChatBackend, tls_context
 from sessionpipe.orchestrator import run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import SimConfig, generate_corpus
@@ -220,8 +219,8 @@ class TestFixtureStore:
 
 def retries(monkeypatch, max_retries: int, backoff_s: float) -> None:
     """Set the HTTP client's retry constants for one test."""
-    monkeypatch.setattr(backends, "MAX_RETRIES", max_retries)
-    monkeypatch.setattr(backends, "BACKOFF_S", backoff_s)
+    monkeypatch.setattr(http_backend, "MAX_RETRIES", max_retries)
+    monkeypatch.setattr(http_backend, "BACKOFF_S", backoff_s)
 
 
 def _free_port():
@@ -233,7 +232,7 @@ def _free_port():
 class TestHttpBackend:
     def test_unreachable_endpoint_exhausts_after_three_attempts(self, monkeypatch):
         retries(monkeypatch, max_retries=2, backoff_s=0.01)
-        monkeypatch.setattr(backends, "TIMEOUT_S", 1.0)
+        monkeypatch.setattr(http_backend, "TIMEOUT_S", 1.0)
         backend = HttpChatBackend(f"http://127.0.0.1:{_free_port()}")
         request = BackendRequest(role=Role.REASONER, session_id="s", prompt="p")
         with pytest.raises(BackendExhaustedError) as err:
@@ -461,7 +460,7 @@ class TestHttpConnection:
 
     def test_a_response_cut_short_is_retried(self, stub_server, monkeypatch):
         slept = []
-        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        monkeypatch.setattr("sessionpipe.http_backend.time.sleep", slept.append)
         retries(monkeypatch, max_retries=2, backoff_s=0.5)
         server = stub_server(framing="truncated")
         with pytest.raises(BackendExhaustedError) as err:
@@ -690,7 +689,7 @@ class TestRetryAfter:
     ], ids=["below-cap", "zero", "above-cap", "past-date", "malformed", "negative", "fraction"])
     def test_retry_after_is_honoured_and_capped(self, stub_server, monkeypatch, status, value, waits):
         slept = []
-        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        monkeypatch.setattr("sessionpipe.http_backend.time.sleep", slept.append)
         server = stub_server(status=status, headers={"Retry-After": value}, body=b"")
         retries(monkeypatch, max_retries=3, backoff_s=1.0)
         with pytest.raises(BackendExhaustedError):
@@ -700,7 +699,7 @@ class TestRetryAfter:
 
     def test_http_date(self, stub_server, monkeypatch):
         slept = []
-        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        monkeypatch.setattr("sessionpipe.http_backend.time.sleep", slept.append)
         server = stub_server(status=503, headers={"Retry-After": _http_date(3)}, body=b"")
         retries(monkeypatch, max_retries=1, backoff_s=4.0)
         with pytest.raises(BackendExhaustedError):
@@ -710,7 +709,7 @@ class TestRetryAfter:
 
     def test_other_statuses_ignore_retry_after(self, stub_server, monkeypatch):
         slept = []
-        monkeypatch.setattr("sessionpipe.backends.time.sleep", slept.append)
+        monkeypatch.setattr("sessionpipe.http_backend.time.sleep", slept.append)
         server = stub_server(status=500, headers={"Retry-After": "3"}, body=b"")
         retries(monkeypatch, max_retries=2, backoff_s=1.0)
         with pytest.raises(BackendExhaustedError):
@@ -815,7 +814,7 @@ def _oracle(pieces):
         while len(answers) < 2 and not (answers and answers[-1][2]):
             with closing(http.client.HTTPResponse(sock, method="POST")) as response:
                 response.begin()
-                body = backends._decoded(response.read(), response.getheader("Content-Encoding"))
+                body = http_backend._decoded(response.read(), response.getheader("Content-Encoding"))
                 answers.append((response.status, body, response.will_close))
     return answers
 
@@ -824,8 +823,8 @@ def _ours(pieces):
     answers = []
     with io.BufferedReader(_Pieces(pieces)) as reader:
         while len(answers) < 2 and not (answers and answers[-1][2]):
-            status, headers, body, close = backends._read_response(reader)
-            answers.append((status, backends._decoded(body, headers.get("content-encoding")), close))
+            status, headers, body, close = http_backend._read_response(reader)
+            answers.append((status, http_backend._decoded(body, headers.get("content-encoding")), close))
     return answers
 
 

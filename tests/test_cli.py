@@ -117,9 +117,10 @@ PATH_CASES = [
     ("evaluate", "--corpus", "absent"), ("evaluate", "--taxonomy", "absent"), ("evaluate", "--predictions", "absent"),
     ("report", "--report-json", "absent"),
     ("run", "--report-dir", "file"), ("run", "--cache-dir", "file"), ("evaluate", "--report-dir", "file"),
-    ("report", "--out", "directory"), ("simulate", "--out", "file"),
+    ("report", "--out", "directory"), ("simulate", "--out", "file"), ("report", "--out", "absent-parent"),
 ]
-_PATH_MESSAGES = {"absent": "does not exist", "file": "is a file", "directory": "is a directory"}
+_PATH_MESSAGES = {"absent": "does not exist", "file": "is a file", "directory": "is a directory",
+                  "absent-parent": "directory '{absent}' does not exist"}
 
 
 @pytest.mark.parametrize("command,option,given", PATH_CASES,
@@ -136,12 +137,14 @@ def test_a_missing_input_path_names_its_option(runner, sim_tree, tmp_path, comma
         args = ["simulate", "--out", str(tmp_path / "again")]
     else:
         args = _evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl", tmp_path / "rescored")
-    wrong = {"absent": tmp_path / "absent", "file": tmp_path / "report" / "report.json", "directory": tmp_path}[given]
+    wrong = {"absent": tmp_path / "absent", "file": tmp_path / "report" / "report.json", "directory": tmp_path,
+             "absent-parent": tmp_path / "absent" / "again.md"}[given]
     args[args.index(option) + 1] = str(wrong)
     before = {p: p.read_bytes() for p in (tmp_path / "report").rglob("*") if p.is_file()}
     result = runner.invoke(main, args)
     assert result.exit_code == 2
-    assert f"Invalid value for '{option}'" in result.output and _PATH_MESSAGES[given] in result.output
+    message = _PATH_MESSAGES[given].format(absent=tmp_path / "absent")
+    assert f"Invalid value for '{option}'" in result.output and message in result.output
     assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)  # no other exception
     assert not (tmp_path / "again").exists() and not (tmp_path / "rescored").exists()
     assert {p: p.read_bytes() for p in (tmp_path / "report").rglob("*") if p.is_file()} == before
@@ -456,26 +459,51 @@ def test_simulate_names_an_option_out_of_range(runner, tmp_path, option, value, 
 # what only a run loads: the HTTP client, the thread pool, the run engine and the simulator
 _RUN_ONLY_MODULES = ("requests", "http.client", "ssl", "concurrent.futures",
                      "sessionpipe.backends", "sessionpipe.orchestrator", "sessionpipe.simulator")
-_PROBE = f"""
+# what only a run loads of that, beyond the simulator and the fixture server
+_HTTP_RUN_MODULES = ("requests", "sessionpipe.http_backend", "sessionpipe.orchestrator", "concurrent.futures")
+_PROBE = """
 import sys
-from sessionpipe.cli import main
+{load}
+print(" ".join(name for name in {modules!r} if name in sys.modules) or "none")
+"""
+_CLI = """from sessionpipe.cli import main
 try:
     main(sys.argv[1:], prog_name="sessionpipe")
 except SystemExit as exc:
-    assert not exc.code, exc.code
-print(" ".join(name for name in {_RUN_ONLY_MODULES!r} if name in sys.modules) or "none")
-"""
+    assert not exc.code, exc.code"""
+
+
+def _loaded(load: str, modules: tuple[str, ...], *args: str) -> str:
+    """Which of ``modules`` a fresh interpreter holds after running ``load`` with ``args``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(sessionpipe.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    probe = subprocess.run([sys.executable, "-c", _PROBE.format(load=load, modules=modules), *args],
+                           capture_output=True, text=True, env=env)
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.splitlines()[-1]
 
 
 def test_evaluate_report_and_help_load_no_run_code(runner, sim_tree, tmp_path):
     assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
     report_json = tmp_path / "report" / "report.json"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(sessionpipe.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])}
     for args in (_evaluate_args(sim_tree, tmp_path / "report" / "predictions.jsonl", tmp_path / "rescored"),
                  ["report", "--report-json", str(report_json), "--out", str(tmp_path / "again.md")],
                  ["--help"]):
-        probe = subprocess.run([sys.executable, "-c", _PROBE, *args], capture_output=True, text=True, env=env)
-        assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.splitlines()[-1] == "none", (args[0], probe.stdout)
+        assert _loaded(_CLI, _RUN_ONLY_MODULES, *args) == "none", args[0]
     assert (tmp_path / "rescored" / "report.json").read_bytes() == report_json.read_bytes()
+
+
+def test_simulate_and_the_fixture_server_load_no_http_client(tmp_path):
+    args = ["simulate", "--out", str(tmp_path / "sim"), "--n-sessions", "1", "--duration-s", "64"]
+    assert _loaded(_CLI, _HTTP_RUN_MODULES, *args) == "none"
+    assert (tmp_path / "sim" / "fixtures.jsonl").is_file()
+    assert _loaded("import sessionpipe.fixture_server", _HTTP_RUN_MODULES) == "none"
+
+
+def test_the_names_the_benchmark_tracer_wraps_resolve():
+    """perfbench/traced_cli.py wraps these by name: a move breaks this test, not only its traced smoke run."""
+    from sessionpipe import backends, http_backend, orchestrator, prompting
+
+    assert _loaded("import sessionpipe.backends", ("requests", "sessionpipe.http_backend")) == "none"
+    assert backends.HttpChatBackend is http_backend.HttpChatBackend
+    assert orchestrator.build_task_prompt is prompting.build_task_prompt
