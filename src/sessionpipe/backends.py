@@ -3,15 +3,17 @@
 Two interchangeable implementations sit behind one interface: an HTTP client
 speaking the chat-completions protocol against a locally served model
 (``http_backend.HttpChatBackend``), and a deterministic mock that replays
-fixture files. Fixture lookups are keyed by (role, session, segment, prompt
-hash); misses raise, never default. This module loads no HTTP stack, so the
-simulator and the fixture server start without it.
+fixture files. ``identity`` states what tells one request from another;
+cache keys, journal and fixture records, fixture lookups and the HTTP client's
+``metadata`` all read it. Fixture misses raise, never default. This module
+loads no HTTP stack, so the simulator and the fixture server start without it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import sys
 import threading
 from abc import ABC, abstractmethod
@@ -63,6 +65,10 @@ class FixtureMissError(BackendError):
     pass
 
 
+class FixtureFileError(ValueError):
+    """A fixture record without a field of the fixture key, as files simulated by earlier versions are."""
+
+
 class EndpointError(ValueError):
     """No request can be sent to the endpoint URL (no scheme, no host, or a scheme
     no transport serves); raised when the HTTP backend is built. A configuration
@@ -108,6 +114,18 @@ class BackendRequest:
         object.__setattr__(self, "prompt_hash", prompt_sha256(self.prompt))
 
 
+# What tells one request from another, the seed last: a fixture is keyed on IDENTITY[:-1], because
+# `simulate` plans with no seed. The journal, the fixtures and the HTTP metadata carry it as a dict.
+IDENTITY = ("role", "session_id", "segment_index", "media_ref", "frame_timestamps_s", "prompt_hash", "seed")
+_AFTER_ROLE = operator.attrgetter(*IDENTITY[1:])
+_FIXTURE_FIELDS = operator.itemgetter(*IDENTITY[:-1])
+
+
+def identity(request: BackendRequest) -> tuple:
+    """The request's values of IDENTITY, the role as its string."""
+    return (request.role.value, *_AFTER_ROLE(request))
+
+
 @dataclass(frozen=True)
 class BackendResponse:
     text: str
@@ -115,51 +133,53 @@ class BackendResponse:
     attempt: int  # 1 for the first try
 
 
-FixtureKey = tuple[str, str, int | None, str]
-
-
 class FixtureStore:
-    """Canned texts keyed by (role, session_id, segment_index, prompt_hash).
+    """Canned texts keyed by a request's identity without its seed (``IDENTITY[:-1]``).
 
     It holds one text per key and nothing else of a record. The key's strings
-    are interned, so a role, a session id or a prompt hash that many fixtures
-    share (every caption has the same prompt) is held once.
+    are interned, and its frame tuples kept one per distinct value, so a role,
+    a session id, a media reference, a prompt hash or a segment's frames that
+    many fixtures share (every caption has the same prompt) is held once.
     """
 
     def __init__(self, records: Iterable[Mapping[str, Any]] = ()):
-        self._texts: dict[FixtureKey, str] = {}
+        self._texts: dict[tuple, str] = {}
+        self._frames: dict[tuple[float, ...], tuple[float, ...]] = {}
         for record in records:
             self.add(record)
 
     @staticmethod
-    def _key(record: Mapping[str, Any]) -> FixtureKey:
-        seg = record["segment_index"]
-        return (
-            sys.intern(str(record["role"])),
-            sys.intern(str(record["session_id"])),
-            None if seg is None else int(seg),
-            sys.intern(str(record["prompt_hash"])),
-        )
+    def key(record: Mapping[str, Any]) -> tuple:
+        """The fixture key of a fixture record, or of a request's identity as a dict."""
+        role, session_id, segment, media_ref, frames, prompt_hash = _FIXTURE_FIELDS(record)
+        return (sys.intern(str(role)), sys.intern(str(session_id)), None if segment is None else int(segment),
+                None if media_ref is None else sys.intern(str(media_ref)),
+                None if frames is None else tuple(frames), sys.intern(str(prompt_hash)))
 
     def add(self, record: Mapping[str, Any]) -> None:
-        self._texts[self._key(record)] = record["text"]
+        *head, frames, prompt_hash = key = self.key(record)
+        if frames is not None:
+            key = (*head, self._frames.setdefault(frames, frames), prompt_hash)
+        self._texts[key] = record["text"]
 
     def __len__(self) -> int:
         return len(self._texts)
 
-    def lookup(self, role: Role, session_id: str, segment_index: int | None, prompt_hash: str) -> str:
-        key = (role.value, session_id, segment_index, prompt_hash)
+    def lookup(self, key: tuple) -> str:
+        """The text for a fixture key: ``identity(request)[:-1]``, or ``key`` of an identity dict."""
         try:
             return self._texts[key]
         except KeyError:
-            raise FixtureMissError(
-                f"no fixture for role={role.value} session={session_id} "
-                f"segment={segment_index} prompt_hash={prompt_hash[:12]}..."
-            ) from None
+            role, session_id, segment, _, _, prompt_hash = key
+            raise FixtureMissError(f"no fixture for role={role} session={session_id} "
+                                   f"segment={segment} prompt_hash={prompt_hash[:12]}...") from None
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FixtureStore":
-        return cls(read_jsonl(path))
+        try:
+            return cls(read_jsonl(path))
+        except KeyError as exc:
+            raise FixtureFileError(f"{path}: a fixture record has no {exc}; simulate the fixtures again") from None
 
 
 class Backend(ABC):
@@ -194,9 +214,7 @@ class MockBackend(Backend):
     def complete(self, request: BackendRequest) -> BackendResponse:
         with self._lock:
             self.call_count += 1
-        text = self._store.lookup(
-            request.role, request.session_id, request.segment_index, request.prompt_hash
-        )
+        text = self._store.lookup(identity(request)[:-1])
         return BackendResponse(text=text, latency_ms=0.0, attempt=1)
 
 

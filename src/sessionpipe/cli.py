@@ -111,7 +111,7 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 def run_command(modes, tasks, chunk_lens, allow_partial, **options):
     """Run extraction, refinement, aggregation, and evaluation."""
     from . import orchestrator
-    from .backends import EndpointError
+    from .backends import EndpointError, FixtureFileError
 
     try:  # every other option's dest is a RunConfig field
         cfg = RunConfig(
@@ -124,7 +124,7 @@ def run_command(modes, tasks, chunk_lens, allow_partial, **options):
         raise _usage_error(exc) from None
     try:
         report = orchestrator.run(cfg)
-    except orchestrator.DamagedJournalError as exc:
+    except (orchestrator.DamagedJournalError, FixtureFileError) as exc:
         click.echo(f"Error: {exc}", err=True)
         sys.exit(2)
     except EndpointError as exc:

@@ -14,7 +14,7 @@ from .prompting import TRANSCRIPT_MODES, RefinementMode
 ALL_MODES = tuple(RefinementMode)
 ALL_TASKS = tuple(TaskKind)
 
-JOURNAL_NAME = "responses.jsonl"  # stands for orchestrator.cache_key's schema: rename it when the key changes
+JOURNAL_NAME = "responses-v2.jsonl"  # stands for orchestrator.cache_key's schema: rename it when the key changes
 
 
 class BadSettingError(ValueError):
@@ -53,7 +53,7 @@ class RunConfig:
         self.cache_dir = Path(self.cache_dir) if self.cache_dir is not None else self.report_dir / "cache"
         if stale := sorted(p.name for p in self.cache_dir.glob("*.jsonl") if p.name != JOURNAL_NAME):
             raise ValueError(f"{self.cache_dir} holds cache files of an older layout: {', '.join(stale)}. Their "
-                             f"lines are journal lines: append them to {JOURNAL_NAME}, or remove them.")
+                             f"keys are not this version's, so no run can reuse them: remove them.")
         # canonical ordering keeps reports byte-stable regardless of input order
         self.modes = tuple(m for m in RefinementMode if m in set(self.modes))
         self.tasks = tuple(t for t in TaskKind if t in set(self.tasks))

@@ -1,8 +1,10 @@
 """A local chat-completions stub that replays fixture files.
 
 Serves ``POST /v1/chat/completions`` and answers from a FixtureStore using the
-same (role, session, segment, prompt hash) key as the in-process mock, so the
-HTTP client and the mock are interchangeable end to end.
+same key as the in-process mock: the request's identity, read from the
+``metadata`` the HTTP client sends, without its seed and with the hash of the
+message actually sent. So the HTTP client and the mock are interchangeable end
+to end.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from .backends import FixtureMissError, FixtureStore, Role, prompt_sha256
+from .backends import FixtureMissError, FixtureStore, prompt_sha256
 
 
 class _FixtureHandler(BaseHTTPRequestHandler):
@@ -59,18 +61,14 @@ class _FixtureHandler(BaseHTTPRequestHandler):
             return
         try:
             body = json.loads(raw)
-            prompt_hash = prompt_sha256(body["messages"][-1]["content"])
-            meta = body.get("metadata") or {}
-            role = Role(meta["role"])
-            session_id = str(meta["session_id"])
-            seg = meta.get("segment_index")
-            segment_index = None if seg is None else int(seg)
+            # the hash of the prompt sent, not one the metadata names
+            key = FixtureStore.key({**body["metadata"], "prompt_hash": prompt_sha256(body["messages"][-1]["content"])})
         # IndexError: no messages; AttributeError: a content that is not a string
         except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
             self._send(400, {"error": {"message": f"bad request: {exc}"}})
             return
         try:
-            text = self.store.lookup(role, session_id, segment_index, prompt_hash)
+            text = self.store.lookup(key)
         except FixtureMissError as exc:
             self._send(404, {"error": {"message": str(exc)}})
             return

@@ -25,9 +25,9 @@ from urllib.parse import urlsplit
 
 import requests
 
-from .backends import (MAX_TOKENS, TEMPERATURE, Backend, BackendError, BackendExhaustedError, BackendRequest,
-                       BackendResponse, BackendTimeoutError, EndpointError, MalformedResponseError,
-                       RequestRejectedError, TransportError)
+from .backends import (IDENTITY, MAX_TOKENS, TEMPERATURE, Backend, BackendError, BackendExhaustedError,
+                       BackendRequest, BackendResponse, BackendTimeoutError, EndpointError, MalformedResponseError,
+                       RequestRejectedError, TransportError, identity)
 
 # the HTTP client's wire settings
 TIMEOUT_S = 60.0
@@ -167,12 +167,13 @@ class HttpChatBackend(Backend):
     """Chat-completions client for locally served models.
 
     Sends ``POST {base_url}/v1/chat/completions`` with the prompt as a single
-    user message. Session/segment/media context rides in a ``metadata`` object
-    that standard servers ignore and fixture-replay servers key on. Timeouts,
-    connection errors, 408, 429 and 5xx answers retry with exponential backoff
-    up to MAX_RETRIES; a 429 or 503 with a valid ``Retry-After`` waits that long
-    instead, capped at the longest backoff. Any 3xx (redirects are not followed)
-    or other 4xx fails at once.
+    user message. The request's identity (``backends.identity``: role, session,
+    segment, media reference, frame timestamps, prompt hash and seed) rides in
+    a ``metadata`` object that standard servers ignore and fixture-replay
+    servers key on. Timeouts, connection errors, 408, 429 and 5xx answers retry
+    with exponential backoff up to MAX_RETRIES; a 429 or 503 with a valid
+    ``Retry-After`` waits that long instead, capped at the longest backoff. Any
+    3xx (redirects are not followed) or other 4xx fails at once.
 
     The URL, headers, ``.netrc`` auth, proxies and CA bundle are resolved once,
     here, through ``requests``; an explicit ``api_key`` wins over ``.netrc``.
@@ -275,17 +276,7 @@ class HttpChatBackend(Backend):
             "messages": [{"role": "user", "content": request.prompt}],
             "temperature": TEMPERATURE,
             "max_tokens": MAX_TOKENS,
-            "metadata": {
-                "role": request.role.value,
-                "session_id": request.session_id,
-                "segment_index": request.segment_index,
-                "media_ref": request.media_ref,
-                "frame_timestamps_s": (
-                    None
-                    if request.frame_timestamps_s is None
-                    else list(request.frame_timestamps_s)
-                ),
-            },
+            "metadata": dict(zip(IDENTITY, identity(request))),
         }
         if request.seed is not None:
             body["seed"] = request.seed

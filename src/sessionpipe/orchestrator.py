@@ -28,10 +28,12 @@ from .backends import (
     BackendRequest,
     BackendResponse,
     FixtureStore,
+    IDENTITY,
     MAX_TOKENS,
     MockBackend,
     TEMPERATURE,
     Role,
+    identity,
     parse_utterances_json,
 )
 from .config import JOURNAL_NAME, RunConfig
@@ -44,15 +46,15 @@ from .prompting import build_task_prompt, load_templates
 from .scoring import Scorer, evaluate_predictions, write_report_files
 from .windowing import TranscriptChunk
 
-_DECODING = f"temperature={TEMPERATURE!r};max_tokens={MAX_TOKENS};seed="
+_DECODING = f"temperature={TEMPERATURE!r};max_tokens={MAX_TOKENS}"
 
 
 def cache_key(backend_id: str, request: BackendRequest) -> str:
-    """The address of a request's answer: backend (which names the model), role,
-    session, segment, prompt and generation parameters, in canonical form."""
-    parts = "\x1f".join([backend_id, request.role.value, request.session_id, str(request.segment_index),
-                         request.prompt_hash, f"{_DECODING}{request.seed}"])
-    return hashlib.sha256(parts.encode("utf-8")).hexdigest()
+    """The address of a request's answer: the backend (which names the model),
+    the request's identity and the decoding settings. ``ascii`` of their tuple
+    tells any two apart and, escaping every non-ASCII character, reads the same
+    on every Python version."""
+    return hashlib.sha256(ascii((backend_id, *identity(request), _DECODING)).encode()).hexdigest()
 
 
 class DamagedJournalError(ValueError):
@@ -60,7 +62,7 @@ class DamagedJournalError(ValueError):
 
 
 class ResponseCache:
-    """Answers by cache key, appended as they arrive to the journal ``cache_dir/responses.jsonl``,
+    """Answers by cache key, appended as they arrive to the journal ``cache_dir/JOURNAL_NAME``,
     one sorted-key JSON line each. Loading keeps the last line of each key, cuts off a last line
     without a newline (a torn write) and refuses any other line that is not a record."""
 
@@ -167,9 +169,7 @@ def _fetch(
                     sent[key] = answer
                 else:
                     del sent[key]
-                    cache.put({"key": key, "role": owner.role.value, "session_id": owner.session_id,
-                               "segment_index": owner.segment_index, "prompt_hash": owner.prompt_hash,
-                               "backend_id": backend.backend_id, "text": answer})
+                    cache.put(dict(zip(IDENTITY, identity(owner)), key=key, backend_id=backend.backend_id, text=answer))
             yield item, key, answer
     finally:
         if pool is not None:
@@ -228,7 +228,7 @@ def prediction_record(unit: PlannedUnit, cache_key: str, answer: str, taxonomy: 
         parsed = parse_label(answer, taxonomy)
         record["label"], record["tier"] = parsed.label, parsed.tier.value
     else:
-        record["presence"] = parse_binary(answer).presence
+        record["presence"] = parse_binary(answer)
     return record
 
 

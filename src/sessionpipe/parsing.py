@@ -33,13 +33,6 @@ class MatchTier(Enum):
 class ParsedLabel:
     label: str | None  # None exactly when tier is UNKNOWN
     tier: MatchTier
-    raw: str
-
-
-@dataclass(frozen=True)
-class ParsedBinary:
-    presence: bool | None
-    raw: str
 
 
 def normalize(text: str) -> str:
@@ -60,23 +53,24 @@ def parse_label(text: str, taxonomy: ActivityTaxonomy) -> ParsedLabel:
 
     for form, label in labels:
         if norm == form:
-            return ParsedLabel(label=label, tier=MatchTier.EXACT, raw=text)
+            return ParsedLabel(label=label, tier=MatchTier.EXACT)
 
     for form, target in aliases:
         if norm == form:
-            return ParsedLabel(label=target, tier=MatchTier.ALIAS, raw=text)
+            return ParsedLabel(label=target, tier=MatchTier.ALIAS)
 
     padded = f" {norm} "
     found = [(pos, -len(form), label) for form, label in labels if (pos := padded.find(f" {form} ")) >= 0]
     if found:
-        return ParsedLabel(label=min(found)[2], tier=MatchTier.FUZZY, raw=text)
+        return ParsedLabel(label=min(found)[2], tier=MatchTier.FUZZY)
 
-    return ParsedLabel(label=None, tier=MatchTier.UNKNOWN, raw=text)
+    return ParsedLabel(label=None, tier=MatchTier.UNKNOWN)
 
 
-def parse_binary(text: str) -> ParsedBinary:
-    """Decide Presence/Absence from the first standalone yes/no/present/absent token."""
+def parse_binary(text: str) -> bool | None:
+    """Presence (True) or Absence (False) from the first standalone yes/no/present/absent
+    token; None when there is none."""
     for token in _WORD_RE.findall(text.casefold()):
         if token in _BINARY_TOKENS:
-            return ParsedBinary(presence=_BINARY_TOKENS[token], raw=text)
-    return ParsedBinary(presence=None, raw=text)
+            return _BINARY_TOKENS[token]
+    return None

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import aggregation, corpus, metrics, windowing
-from .backends import BackendRequest, Role, utterances_to_json
+from .backends import IDENTITY, BackendRequest, Role, identity, utterances_to_json
 from .config import ALL_MODES, ALL_TASKS, BadSettingError, RunConfig
 from .corpus import (
     ACTIVITY_TASKS,
@@ -302,8 +302,7 @@ def _session_fixtures(
     records: list[dict] = []
 
     def add(request: BackendRequest, text: str) -> None:
-        records.append({"role": request.role.value, "session_id": request.session_id, "text": text,
-                        "segment_index": request.segment_index, "prompt_hash": request.prompt_hash})
+        records.append(dict(zip(IDENTITY[:-1], identity(request)), text=text))
 
     for request in plan_extraction(world.manifest, world.segments, modes, seed=None):
         if request.role is Role.CAPTIONER:

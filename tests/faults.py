@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Mapping
 
-from sessionpipe.backends import Backend, BackendError, BackendRequest, BackendResponse
+from sessionpipe.backends import Backend, BackendError, BackendRequest, BackendResponse, Role, utterances_to_json
 from sessionpipe.orchestrator import cache_key
+from sessionpipe.windowing import TimedUtterance
 
 
 class Killed(BaseException):
@@ -55,3 +56,28 @@ class FaultyBackend(Backend):
             response = self._inner.complete(request)
         self.answers += 1
         return response
+
+
+class EchoBackend(Backend):
+    """Answers with what it was sent: a caption names the media and frames it
+    was asked about, a transcript its media, and a reasoner answer quotes its
+    prompt, which holds the caption and transcript it was built from.
+
+    ``sent`` lists every request received. It runs inline.
+    """
+
+    backend_id = "echo"
+    in_process = True
+
+    def __init__(self):
+        self.sent: list[BackendRequest] = []
+
+    def complete(self, request: BackendRequest) -> BackendResponse:
+        self.sent.append(request)
+        if request.role is Role.CAPTIONER:
+            text = f"seen in {request.media_ref} at {list(request.frame_timestamps_s)}"
+        elif request.role is Role.TRANSCRIBER:
+            text = utterances_to_json([TimedUtterance(0.0, 1.0, f"heard in {request.media_ref}")])
+        else:
+            text = request.prompt
+        return BackendResponse(text=text, latency_ms=0.0, attempt=1)

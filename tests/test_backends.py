@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from sessionpipe import http_backend
 from sessionpipe.backends import (
+    IDENTITY,
     BackendExhaustedError,
     BackendRequest,
     EndpointError,
@@ -35,6 +36,7 @@ from sessionpipe.backends import (
     Role,
     TransportError,
     UnparseableTimestampsError,
+    identity,
     parse_utterances_json,
     prompt_sha256,
     utterances_to_json,
@@ -49,18 +51,19 @@ from sessionpipe.simulator import SimConfig, generate_corpus
 from sessionpipe.windowing import TimedUtterance
 
 
+MEDIA = {Role.CAPTIONER: "v", Role.TRANSCRIBER: "a", Role.REASONER: None}  # what these tests' requests carry
+
+
+def fixture_key(role, session_id, seg, prompt):
+    """The fixture key of a request with MEDIA and no frames."""
+    request = BackendRequest(role=role, session_id=session_id, prompt=prompt, segment_index=seg, media_ref=MEDIA[role])
+    return identity(request)[:-1]
+
+
 def make_store(records):
     store = FixtureStore()
     for role, session_id, seg, prompt, text in records:
-        store.add(
-            {
-                "role": role.value,
-                "session_id": session_id,
-                "segment_index": seg,
-                "prompt_hash": prompt_sha256(prompt),
-                "text": text,
-            }
-        )
+        store.add({**dict(zip(IDENTITY, fixture_key(role, session_id, seg, prompt))), "text": text})
     return store
 
 
@@ -166,12 +169,13 @@ class TestTranscribe:
 
 class TestFixtureStoreIO:
     def test_jsonl_roundtrip(self, tmp_path):
-        record = {"role": "captioner", "session_id": "s1", "segment_index": 3,
-                  "prompt_hash": prompt_sha256("describe"), "text": "The child stacks blocks on the rug."}
+        request = BackendRequest(role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3,
+                                 media_ref="v", frame_timestamps_s=(0.0, 1.5), seed=7)
+        record = {**dict(zip(IDENTITY[:-1], identity(request))), "text": "The child stacks blocks on the rug."}
         write_jsonl(tmp_path / "fixtures.jsonl", [record])
         loaded = FixtureStore.load_jsonl(tmp_path / "fixtures.jsonl")
         assert len(loaded) == 1
-        assert loaded.lookup(Role.CAPTIONER, "s1", 3, record["prompt_hash"]) == record["text"]
+        assert loaded.lookup(identity(request)[:-1]) == record["text"]
 
 
 class TestFixtureStore:
@@ -197,24 +201,26 @@ class TestFixtureStore:
         records = list(read_jsonl(fixtures_path))
         assert len(store) == len(records)
         for r in records:
-            assert store.lookup(Role(r["role"]), r["session_id"], r["segment_index"], r["prompt_hash"]) == r["text"]
+            assert store.lookup(FixtureStore.key(r)) == r["text"]
 
     def test_a_repeated_key_keeps_the_last_text(self):
         store = make_store([(Role.REASONER, "s1", 0, "p", "first"), (Role.CAPTIONER, "s1", 1, "q", "other"),
                             (Role.REASONER, "s1", 0, "p", "last")])
         assert len(store) == 2
-        assert store.lookup(Role.REASONER, "s1", 0, prompt_sha256("p")) == "last"
-        assert store.lookup(Role.CAPTIONER, "s1", 1, prompt_sha256("q")) == "other"
+        assert store.lookup(fixture_key(Role.REASONER, "s1", 0, "p")) == "last"
+        assert store.lookup(fixture_key(Role.CAPTIONER, "s1", 1, "q")) == "other"
 
     def test_key_parts_are_normalised(self):
-        store = FixtureStore([{"role": "reasoner", "session_id": "s1", "segment_index": "2",
-                               "prompt_hash": prompt_sha256("p"), "text": "t"}])
-        assert store.lookup(Role.REASONER, "s1", 2, prompt_sha256("p")) == "t"
+        store = FixtureStore([{"role": "captioner", "session_id": "s1", "segment_index": "2", "media_ref": "v",
+                               "frame_timestamps_s": [0, 1], "prompt_hash": prompt_sha256("p"), "text": "t"}])
+        request = BackendRequest(role=Role.CAPTIONER, session_id="s1", prompt="p", segment_index=2, media_ref="v",
+                                 frame_timestamps_s=(0.0, 1.0))
+        assert store.lookup(identity(request)[:-1]) == "t"
 
     def test_a_miss_raises_naming_the_key(self, caption_store):
         with pytest.raises(FixtureMissError, match=r"^no fixture for role=captioner session=s1 segment=4 "
                                                    r"prompt_hash=[0-9a-f]{12}\.\.\.$"):
-            caption_store.lookup(Role.CAPTIONER, "s1", 4, prompt_sha256("describe"))
+            caption_store.lookup(fixture_key(Role.CAPTIONER, "s1", 4, "describe"))
 
 
 def retries(monkeypatch, max_retries: int, backoff_s: float) -> None:
@@ -255,7 +261,6 @@ class TestHttpBackend:
                 prompt="describe",
                 segment_index=3,
                 media_ref="v",
-                frame_timestamps_s=(0.0, 1.0),
                 seed=7,
             )
             with closing(HttpChatBackend(server.base_url)) as backend:
@@ -267,7 +272,7 @@ class TestHttpBackend:
         retries(monkeypatch, max_retries=2, backoff_s=0.01)
         lookups = []
         lookup = caption_store.lookup
-        caption_store.lookup = lambda *key: lookups.append(key) or lookup(*key)
+        caption_store.lookup = lambda key: lookups.append(key) or lookup(key)
         with FixtureChatServer(caption_store) as server:
             request = BackendRequest(
                 role=Role.CAPTIONER, session_id="unknown", prompt="describe", segment_index=0, media_ref="v"
@@ -276,10 +281,26 @@ class TestHttpBackend:
                 backend.complete(request)
         assert len(lookups) == 1  # a permanent error is not retried
 
+    def test_stub_server_keys_on_the_message_it_was_sent_not_a_hash_in_the_metadata(self, caption_store):
+        request = BackendRequest(role=Role.CAPTIONER, session_id="s1", prompt="describe", segment_index=3, media_ref="v")
+        answers = []
+        with FixtureChatServer(caption_store) as server:
+            conn = http.client.HTTPConnection(server.base_url.removeprefix("http://"), timeout=5)
+            with closing(conn):
+                for prompt, hashed in (("describe", "other"), ("other", "describe")):
+                    metadata = {**dict(zip(IDENTITY, identity(request))), "prompt_hash": prompt_sha256(hashed)}
+                    body = json.dumps({"messages": [{"role": "user", "content": prompt}], "metadata": metadata})
+                    conn.request("POST", "/v1/chat/completions", body, {"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    answers.append((response.status, json.loads(response.read())))
+        [(status, payload), (missed, _)] = answers
+        assert (status, missed) == (200, 404)
+        assert payload["choices"][0]["message"]["content"] == "The child stacks blocks on the rug."
+
     @pytest.mark.parametrize("messages", [[], [{"content": 5}], [{"role": "user"}], {"content": "describe"}])
     def test_stub_server_400_on_a_malformed_request(self, caption_store, messages):
         body = json.dumps({"messages": messages,
-                           "metadata": {"role": "captioner", "session_id": "s1", "segment_index": 3}})
+                           "metadata": dict(zip(IDENTITY, identity(CAPTION)))})
         with FixtureChatServer(caption_store) as server:
             conn = http.client.HTTPConnection(server.base_url.removeprefix("http://"), timeout=5)
             with closing(conn):
@@ -361,7 +382,8 @@ class TestHttpRequestPath:
         body = (
             b'{"model": "m", "messages": [{"role": "user", "content": "describe"}], "temperature": 0.0, '
             b'"max_tokens": 256, "metadata": {"role": "captioner", "session_id": "s1", "segment_index": 3, '
-            b'"media_ref": "v", "frame_timestamps_s": [0.0, 1.5]}, "seed": 7}'
+            b'"media_ref": "v", "frame_timestamps_s": [0.0, 1.5], "prompt_hash": "%s", "seed": 7}, "seed": 7}'
+            % prompt_sha256("describe").encode()
         )
         assert (sent.method, sent.path, sent.body) == ("POST", "/v1/chat/completions", body)
         assert set(sent.headers.items()) == {
@@ -550,7 +572,7 @@ CAPTION = BackendRequest(role=Role.CAPTIONER, session_id="s1", prompt="describe"
 
 def _caption_body() -> str:
     return json.dumps({"messages": [{"role": "user", "content": "describe"}],
-                       "metadata": {"role": "captioner", "session_id": "s1", "segment_index": 3}})
+                       "metadata": dict(zip(IDENTITY, identity(CAPTION)))})
 
 
 class TestFixtureServerConnection:

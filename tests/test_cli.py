@@ -12,6 +12,7 @@ import sessionpipe
 from sessionpipe import corpus
 from sessionpipe.corpus import read_jsonl, write_jsonl
 from sessionpipe.cli import main
+from sessionpipe.config import JOURNAL_NAME
 
 
 @pytest.fixture
@@ -65,7 +66,7 @@ def test_run_writes_report(runner, sim_tree, tmp_path):
     report = json.loads((tmp_path / "report" / "report.json").read_text())
     assert report["rows"][0]["metrics"]["activity_segmentation"] == 1.0
     # default cache location is inside the report dir
-    assert [p.name for p in (tmp_path / "report" / "cache").iterdir()] == ["responses.jsonl"]
+    assert [p.name for p in (tmp_path / "report" / "cache").iterdir()] == [JOURNAL_NAME]
 
 
 def test_run_refuses_an_older_cache_layout(runner, sim_tree, tmp_path):
@@ -77,7 +78,7 @@ def test_run_refuses_an_older_cache_layout(runner, sim_tree, tmp_path):
     result = runner.invoke(main, _run_args(sim_tree, tmp_path))
     assert result.exit_code != 0
     assert ", ".join(old) in result.output
-    assert "append them to responses.jsonl, or remove them" in result.output
+    assert "remove them" in result.output
     assert sorted(p.name for p in cache.iterdir()) == old  # nothing deleted, nothing journaled
     assert not (tmp_path / "report" / "report.json").exists()
 
@@ -85,12 +86,23 @@ def test_run_refuses_an_older_cache_layout(runner, sim_tree, tmp_path):
 def test_run_names_a_damaged_journal_line(runner, sim_tree, tmp_path):
     args = _run_args(sim_tree, tmp_path)
     assert runner.invoke(main, args).exit_code == 0
-    journal = tmp_path / "report" / "cache" / "responses.jsonl"
+    journal = tmp_path / "report" / "cache" / JOURNAL_NAME
     lines = journal.read_bytes().splitlines(keepends=True)
     journal.write_bytes(b"".join([*lines[:2], b'{"key": "k", "te\n', *lines[3:]]))
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert f"{journal}: line 3 is not a JSON object with a string key and text" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_run_refuses_fixtures_without_a_key_field(runner, sim_tree, tmp_path):
+    # fixtures simulated before the media reference and the frames were part of the key
+    old = [{k: v for k, v in r.items() if k not in ("media_ref", "frame_timestamps_s")}
+           for r in read_jsonl(sim_tree / "fixtures.jsonl")]
+    write_jsonl(tmp_path / "old.jsonl", old)
+    result = runner.invoke(main, _run_args(sim_tree, tmp_path, **{"--fixtures": str(tmp_path / "old.jsonl")}))
+    assert result.exit_code == 2
+    assert f"{tmp_path / 'old.jsonl'}: a fixture record has no 'media_ref'; simulate the fixtures again" in result.output
     assert "Traceback" not in result.output
 
 

@@ -1,6 +1,6 @@
 """Kill, fault and resume properties of the response journal.
 
-A run appends each answer to ``cache/responses.jsonl`` as it arrives. These
+A run appends each answer to the journal in its cache directory as it arrives. These
 properties kill runs, fail requests and tear the journal with the
 ``FaultyBackend`` wrapper, then check what the journal holds, what the run
 reports and that a rerun sends exactly the missing requests and ends
@@ -27,7 +27,7 @@ from sessionpipe.backends import (
     MockBackend,
     TransportError,
 )
-from sessionpipe.config import RunConfig
+from sessionpipe.config import JOURNAL_NAME, RunConfig
 from sessionpipe.corpus import read_jsonl
 from sessionpipe.orchestrator import load_predictions, run
 from sessionpipe.simulator import NoiseSpec, SimConfig, SimOutput, generate_corpus
@@ -66,7 +66,7 @@ def _outputs(cfg: RunConfig) -> tuple[bytes, bytes]:
 
 
 def _journal(cfg: RunConfig) -> Path:
-    return cfg.cache_dir / "responses.jsonl"
+    return cfg.cache_dir / JOURNAL_NAME
 
 
 @pytest.fixture(scope="module")
@@ -219,8 +219,8 @@ def test_a_journaled_torn_transcript_is_fetched_again(ref, tmp_path):
 
 
 def test_old_role_files_appended_to_the_journal_make_a_warm_cache(ref, tmp_path):
-    # the migration the refusal message suggests: cat the per-role files, each
-    # sorted by key, into responses.jsonl
+    # journal lines in any order make a warm cache: here the per-role files of
+    # older versions, each sorted by key, one after the other
     role_files: dict[str, list[bytes]] = {"captioner": [], "transcriber": [], "reasoner": []}
     for line in ref.journal.splitlines(keepends=True):
         role_files[json.loads(line)["role"]].append(line)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 import tempfile
@@ -8,29 +9,33 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sessionpipe import config, orchestrator, scoring
 from sessionpipe.backends import (
+    IDENTITY,
     Backend,
     BackendRequest,
+    FixtureMissError,
     FixtureStore,
     HttpChatBackend,
     MockBackend,
+    RequestRejectedError,
     Role,
     TransportError,
+    identity,
 )
-from sessionpipe.config import RunConfig
-from sessionpipe.corpus import TaskKind, read_jsonl
+from sessionpipe.config import JOURNAL_NAME, RunConfig
+from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, read_jsonl, write_corpus
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.orchestrator import ResponseCache, load_predictions, run
-from sessionpipe.prompting import RefinementMode
+from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.scoring import report_row
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
 
-from .faults import Killed
+from .faults import EchoBackend, Killed
 
 ALL_MODES = tuple(RefinementMode)
 
@@ -69,7 +74,7 @@ class TestRun:
         assert json.loads((cfg.report_dir / "report.json").read_text()) == report
         assert (cfg.report_dir / "report.md").exists()
         assert (cfg.report_dir / "predictions.jsonl").exists()
-        assert [p.name for p in cfg.cache_dir.iterdir()] == ["responses.jsonl"]
+        assert [p.name for p in cfg.cache_dir.iterdir()] == [JOURNAL_NAME]
 
     def test_warm_cache_issues_zero_calls(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
@@ -128,7 +133,7 @@ class TestRun:
         report = run(cfg)
         row = report_row(report, RefinementMode.ZERO_SHOT, None)
         assert row["metrics"]["activity_segmentation"] == 1.0
-        roles = {record["role"] for record in read_jsonl(cfg.cache_dir / "responses.jsonl")}
+        roles = {record["role"] for record in read_jsonl(cfg.cache_dir / JOURNAL_NAME)}
         assert roles == {"captioner"}
 
     def test_results_independent_of_concurrency(self, sim_out, tmp_path):
@@ -144,7 +149,7 @@ class TestRun:
     def test_predictions_traceable_to_cache(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
-        cached_keys = {record["key"] for record in read_jsonl(cfg.cache_dir / "responses.jsonl")}
+        cached_keys = {record["key"] for record in read_jsonl(cfg.cache_dir / JOURNAL_NAME)}
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         assert preds
         assert all(p["cache_key"] in cached_keys for p in preds)
@@ -164,7 +169,7 @@ class TestExecution:
         # cold: the fixture file is parsed once, before the first request reaches the mock
         assert calls[0] == ("load_jsonl", sim_out.fixtures_path)
         assert len(calls) > 1 and calls[1:] == ["complete"] * (len(calls) - 1)
-        journal = cfg.cache_dir / "responses.jsonl"
+        journal = cfg.cache_dir / JOURNAL_NAME
 
         def state():
             stat = journal.stat()
@@ -275,7 +280,7 @@ class TestExecution:
         with pytest.raises(Killed):
             run(cfg, backend=remote)
         assert 50 <= len(remote.sent) <= 50 + 2 * 2  # of the run's 421 requests
-        assert len((cfg.cache_dir / "responses.jsonl").read_bytes().splitlines()) < 50
+        assert len((cfg.cache_dir / JOURNAL_NAME).read_bytes().splitlines()) < 50
 
 
 class Remote(Backend):
@@ -323,14 +328,14 @@ class TestResponseCacheJournal:
         cache = ResponseCache(tmp_path)
         for i in range(3):
             cache.put(_record(f"k{i}"))
-        before = (tmp_path / "responses.jsonl").read_bytes()  # three lines, written while the cache is open
+        before = (tmp_path / JOURNAL_NAME).read_bytes()  # three lines, written while the cache is open
         assert len(before.splitlines()) == 3
         with pytest.raises(TypeError):
             cache.put(_record("k9", text=object()))
-        assert (tmp_path / "responses.jsonl").read_bytes() == before
+        assert (tmp_path / JOURNAL_NAME).read_bytes() == before
         cache.put(_record("k3"))
         cache.flush()
-        assert [r["key"] for r in read_jsonl(tmp_path / "responses.jsonl")] == ["k0", "k1", "k2", "k3"]
+        assert [r["key"] for r in read_jsonl(tmp_path / JOURNAL_NAME)] == ["k0", "k1", "k2", "k3"]
         reloaded = ResponseCache(tmp_path)
         assert reloaded.get("k9") is None
         assert reloaded.get("k2") == "ok"
@@ -340,7 +345,7 @@ class TestResponseCacheJournal:
         cache.put(_record("k0"))
         cache.put(_record("k1", text="second"))
         cache.flush()
-        journal = tmp_path / "responses.jsonl"
+        journal = tmp_path / JOURNAL_NAME
         whole = journal.read_bytes()
         first_line = whole[: whole.index(b"\n") + 1]
         journal.write_bytes(whole[:-5])
@@ -356,7 +361,7 @@ class TestResponseCacheJournal:
     def test_a_damaged_line_stops_the_run_and_is_named(self, sim_out, tmp_path, damage):
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
-        journal = cfg.cache_dir / "responses.jsonl"
+        journal = cfg.cache_dir / JOURNAL_NAME
         lines = journal.read_bytes().splitlines(keepends=True)
         journal.write_bytes(b"".join([*lines[:2], damage + b"\n", *lines[3:]]))
         backend = MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
@@ -367,10 +372,10 @@ class TestResponseCacheJournal:
 
     def test_other_jsonl_files_in_the_cache_dir_are_refused(self, tmp_path):
         (tmp_path / "captions.jsonl").write_text("")
-        (tmp_path / "responses.jsonl").write_text("")
+        (tmp_path / JOURNAL_NAME).write_text("")
         with pytest.raises(ValueError, match="captions.jsonl") as err:
             RunConfig(corpus_dir=tmp_path, taxonomy_path=tmp_path, report_dir=tmp_path, cache_dir=tmp_path)
-        assert "append them to responses.jsonl" in str(err.value)
+        assert "remove them" in str(err.value)
 
 
 class TestFailureHandling:
@@ -405,13 +410,13 @@ class TestFailureHandling:
         out = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=64.0), tmp_path / "sim", modes=modes)
         records = list(read_jsonl(out.fixtures_path))
         refused = next(r for r in records if r["role"] == "reasoner" and r["segment_index"] == 2)
-        refused_key = (Role.REASONER, refused["session_id"], 2, refused["prompt_hash"])
+        refused_key = FixtureStore.key(refused)
         lookups = []
 
         class Refusing(FixtureStore):
-            def lookup(self, *key):
+            def lookup(self, key):
                 lookups.append(key)
-                return None if key == refused_key else super().lookup(*key)
+                return None if key == refused_key else super().lookup(key)
 
         with FixtureChatServer(Refusing(records)) as server:
             backend = HttpChatBackend(server.base_url)
@@ -420,7 +425,7 @@ class TestFailureHandling:
         assert [(f["role"], f["segment_index"], f["prompt_hash"], f["error"].split(":")[0])
                 for f in report["failures"]] == [("reasoner", 2, refused["prompt_hash"], "MalformedResponseError")]
         assert report["invalid_sessions"] == [refused["session_id"]]
-        keys = {record["key"] for record in read_jsonl(tmp_path / "cache" / "responses.jsonl")}
+        keys = {record["key"] for record in read_jsonl(tmp_path / "cache" / JOURNAL_NAME)}
         assert len(keys) == len(lookups) - 1
 
 
@@ -500,54 +505,128 @@ class TestRunConfigValidation:
 
 
 _REQUEST_FIELDS = {
-    "backend_id": st.text(min_size=1, max_size=8),
     "role": st.sampled_from(Role),
     "session_id": st.text(min_size=1, max_size=8),
     "segment_index": st.one_of(st.none(), st.integers(min_value=0, max_value=500)),
+    "media_ref": st.text(min_size=1, max_size=8),  # left out of reasoner requests
+    "frame_timestamps_s": st.one_of(st.none(), st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                                        max_size=3).map(tuple)),
     "prompt": st.text(min_size=1, max_size=40),
     "seed": st.one_of(st.none(), st.integers(min_value=0, max_value=2**32)),
 }
+_KEY_FIELDS = {"backend_id": st.text(min_size=1, max_size=8), **_REQUEST_FIELDS}
+
+
+def _request(fields):
+    fields = {name: fields[name] for name in _REQUEST_FIELDS}
+    return BackendRequest(**{**fields, "media_ref": None if fields["role"] is Role.REASONER else fields["media_ref"]})
 
 
 def _key(fields):
-    request = BackendRequest(
-        role=fields["role"], session_id=fields["session_id"], prompt=fields["prompt"],
-        segment_index=fields["segment_index"], media_ref=None if fields["role"] is Role.REASONER else "file:///v",
-        seed=fields["seed"],
-    )
-    return orchestrator.cache_key(fields["backend_id"], request)
+    return orchestrator.cache_key(fields["backend_id"], _request(fields))
 
 
-@given(fields=st.fixed_dictionaries(_REQUEST_FIELDS), data=st.data())
+@given(fields=st.fixed_dictionaries(_KEY_FIELDS), data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_cache_key_changes_with_any_one_request_input(fields, data):
-    name = data.draw(st.sampled_from(sorted(_REQUEST_FIELDS)))
-    value = data.draw(_REQUEST_FIELDS[name].filter(lambda v: v != fields[name]))
+    name = data.draw(st.sampled_from(sorted(_KEY_FIELDS)))
+    assume(not (name == "media_ref" and fields["role"] is Role.REASONER))
+    value = data.draw(_KEY_FIELDS[name].filter(lambda v: v != fields[name]))
     assert _key(fields) == _key(dict(fields))
     assert _key({**fields, name: value}) != _key(fields)
+
+
+def _pair(fields, other, kept):
+    """Two requests: one of ``fields``, and one of ``other`` with the ``kept`` fields of the first."""
+    return _request(fields), _request({**other, **{name: fields[name] for name in kept}})
+
+
+_PAIRS = dict(fields=st.fixed_dictionaries(_REQUEST_FIELDS), other=st.fixed_dictionaries(_REQUEST_FIELDS),
+              kept=st.sets(st.sampled_from(sorted(_REQUEST_FIELDS))))
+
+
+@pytest.fixture(scope="module")
+def served():
+    """A fixture store, and an HTTP client of a fixture server that replays it."""
+    store = FixtureStore()
+    with FixtureChatServer(store) as server, closing(HttpChatBackend(server.base_url)) as client:
+        yield store, client
+
+
+@given(**_PAIRS)
+@settings(max_examples=200, deadline=None)
+def test_equal_cache_keys_exactly_when_the_client_sends_equal_bytes(served, fields, other, kept):
+    _, client = served
+    first, second = _pair(fields, other, kept)
+    same_key = orchestrator.cache_key(client.backend_id, first) == orchestrator.cache_key(client.backend_id, second)
+    assert same_key == (client._request_bytes(first) == client._request_bytes(second))
+
+
+@given(**_PAIRS)
+@settings(max_examples=100, deadline=None)
+def test_the_fixture_store_and_the_fixture_server_find_the_same_fixtures(served, fields, other, kept):
+    store, client = served
+    stored, asked = _pair(fields, other, kept)
+    store.add({**dict(zip(IDENTITY[:-1], identity(stored))), "text": json.dumps(identity(stored)[:-1])})
+    for request in (stored, asked):
+        try:
+            expected = MockBackend(store).complete(request).text
+        except FixtureMissError:
+            expected = None
+        try:
+            served_text = client.complete(request).text
+        except RequestRejectedError:
+            served_text = None
+        assert served_text == expected
 
 
 @pytest.mark.parametrize("backend_id,request_,digest", [
     ("http:local-model",
      BackendRequest(role=Role.CAPTIONER, session_id="sim-000", prompt="describe", segment_index=3,
-                    media_ref="file:///v.mp4", seed=0),
-     "5620cb8dfc22b2075e4caf1c780fc8b362fb713620129f6d32f394888ad7320c"),
+                    media_ref="file:///v.mp4", frame_timestamps_s=(48.0, 48.5), seed=0),
+     "e0654ee7edd294b0379c5299fd4308deb6a18d37962e7dba2745ecefe170dd38"),
     ("mock",
      BackendRequest(role=Role.TRANSCRIBER, session_id="sim-001", prompt="transcribe", media_ref="file:///a.wav"),
-     "151be0eefa14d8ac640ebb24dc7e319d65dfc4f4551224d01924bc28d54c6411"),
+     "88202d687a2ccb2c6ceb2f98106af6f6df678ec180728d900dea89128936c20a"),
     ("mock",
      BackendRequest(role=Role.REASONER, session_id="sim-001", prompt="Which activity?", segment_index=0, seed=42),
-     "62d558b628ccd6612d9f29b4b527f632a76040118fce3d950813107b4713329a"),
+     "7c0076712a552fed3165b1bb86bba6c1b86c869a7a808526edc42e3bd7bde9a0"),
 ], ids=["caption", "transcript-without-seed", "reasoner"])
 def test_cache_key_is_pinned_to_the_journal_name(backend_id, request_, digest):
     # every journal line is addressed by these digests: a key that changes must come with a new JOURNAL_NAME,
     # so that a cache written under the old key is refused instead of silently missed
-    assert config.JOURNAL_NAME == "responses.jsonl"
+    assert config.JOURNAL_NAME == "responses-v2.jsonl"
     assert orchestrator.cache_key(backend_id, request_) == digest
 
 
+@pytest.mark.parametrize("changed", ["fps", "window_s", "video_ref", "audio_ref"])
+def test_a_request_for_other_frames_or_media_is_sent_again(tmp_path, changed):
+    # one cache, a second run that changes what the captioner or transcriber is sent: the
+    # extraction requests it changes are sent again, and the run ends as a fresh run does
+    tasks = (TaskKind.ACTIVITY_RECOGNITION,)
+    out = generate_corpus(SimConfig(seed=0, n_sessions=1, duration_s=32.0), tmp_path / "sim",
+                          tasks=tasks, modes=(RefinementMode.MULTIMODAL,), chunk_lens=(16,))
+    changes = {"fps": {"fps": 2.0}, "window_s": {"window_s": 8.0}}.get(changed, {})
+    if changed in ("video_ref", "audio_ref"):
+        manifests = load_corpus(out.corpus_dir, load_taxonomy(out.taxonomy_path))
+        write_corpus([dataclasses.replace(m, **{changed: getattr(m, changed) + ".moved"}) for m in manifests],
+                     tmp_path / "moved")
+        changes = {"corpus_dir": tmp_path / "moved"}
+    run(make_config(out, tmp_path / "first", cache_dir=tmp_path / "cache", tasks=tasks), backend=EchoBackend())
+    replayed, fresh = EchoBackend(), EchoBackend()
+    run(make_config(out, tmp_path / "replay", cache_dir=tmp_path / "cache", tasks=tasks, **changes),
+        backend=replayed)
+    run(make_config(out, tmp_path / "fresh", tasks=tasks, **changes), backend=fresh)
+
+    role = Role.TRANSCRIBER if changed == "audio_ref" else Role.CAPTIONER
+    extraction = [r for r in fresh.sent if r.prompt in (DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT)]
+    assert [r for r in replayed.sent if r in extraction] == [r for r in extraction if r.role is role]
+    predictions = [tmp_path / name / "report" / "predictions.jsonl" for name in ("replay", "fresh")]
+    assert predictions[0].read_bytes() == predictions[1].read_bytes()
+
+
 def _fixture_keys(path):
-    return {(r["role"], r["session_id"], r["segment_index"], r["prompt_hash"]) for r in read_jsonl(path)}
+    return {FixtureStore.key(r) for r in read_jsonl(path)}
 
 
 @given(
@@ -572,6 +651,6 @@ def test_run_requests_exactly_the_simulated_fixtures(seed, n_sessions, duration_
         )
         report = run(cfg)
         assert report["failures"] == []
-        journal = cfg.cache_dir / "responses.jsonl"  # made by the first answer, so absent if none was sent
+        journal = cfg.cache_dir / JOURNAL_NAME  # made by the first answer, so absent if none was sent
         requested = _fixture_keys(journal) if journal.exists() else set()
         assert requested == _fixture_keys(out.fixtures_path)

@@ -71,10 +71,10 @@ class TestParseBinary:
         ],
     )
     def test_token_rule(self, text, expected):
-        assert parse_binary(text).presence is expected
+        assert parse_binary(text) is expected
 
     def test_first_token_decides(self):
-        assert parse_binary("no, wait, yes").presence is False
+        assert parse_binary("no, wait, yes") is False
 
 
 _FILLER_WORDS = st.lists(

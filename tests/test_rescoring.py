@@ -24,7 +24,7 @@ from sessionpipe.cli import main
 from sessionpipe.config import RunConfig
 from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, read_jsonl, write_corpus, write_jsonl
 from sessionpipe.orchestrator import run
-from sessionpipe.parsing import ParsedBinary, ParsedLabel
+from sessionpipe.parsing import ParsedLabel
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS
@@ -167,7 +167,7 @@ def test_the_predictions_held_when_scoring_starts_do_not_grow_with_the_corpus(tm
         tracked = gc.get_objects()
         # a record of strings, numbers and None is not tracked itself: look in what holds it
         records = [o for o in gc.get_referents(*tracked) if type(o) is dict and "cache_key" in o]
-        live[len(manifests)] = len(records) + sum(isinstance(o, (ParsedLabel, ParsedBinary)) for o in tracked)
+        live[len(manifests)] = len(records) + sum(isinstance(o, ParsedLabel) for o in tracked)
         return evaluate_predictions(manifests, *args)
 
     monkeypatch.setattr(orchestrator, "evaluate_predictions", counting)
