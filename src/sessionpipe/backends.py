@@ -137,14 +137,15 @@ class FixtureStore:
     """Canned texts keyed by a request's identity without its seed (``IDENTITY[:-1]``).
 
     It holds one text per key and nothing else of a record. The key's strings
-    are interned, and its frame tuples kept one per distinct value, so a role,
-    a session id, a media reference, a prompt hash or a segment's frames that
-    many fixtures share (every caption has the same prompt) is held once.
+    are interned, and its frame tuples and the texts kept one per distinct
+    value, so a role, a session id, a media reference, a prompt hash, a
+    segment's frames or an answer that many fixtures share (every caption has
+    the same prompt, and a few labels answer most prompts) is held once.
     """
 
     def __init__(self, records: Iterable[Mapping[str, Any]] = ()):
         self._texts: dict[tuple, str] = {}
-        self._frames: dict[tuple[float, ...], tuple[float, ...]] = {}
+        self._distinct: dict[tuple[float, ...] | str, tuple[float, ...] | str] = {}  # frames and texts, held once
         for record in records:
             self.add(record)
 
@@ -157,10 +158,12 @@ class FixtureStore:
                 None if frames is None else tuple(frames), sys.intern(str(prompt_hash)))
 
     def add(self, record: Mapping[str, Any]) -> None:
+        held = self._distinct.setdefault
         *head, frames, prompt_hash = key = self.key(record)
         if frames is not None:
-            key = (*head, self._frames.setdefault(frames, frames), prompt_hash)
-        self._texts[key] = record["text"]
+            key = (*head, held(frames, frames), prompt_hash)
+        text = record["text"]
+        self._texts[key] = held(text, text)
 
     def __len__(self) -> int:
         return len(self._texts)
@@ -170,9 +173,12 @@ class FixtureStore:
         try:
             return self._texts[key]
         except KeyError:
-            role, session_id, segment, _, _, prompt_hash = key
-            raise FixtureMissError(f"no fixture for role={role} session={session_id} "
-                                   f"segment={segment} prompt_hash={prompt_hash[:12]}...") from None
+            role, session_id, segment, media_ref, frames, prompt_hash = key
+            shown = "" if media_ref is None else f" media={media_ref}"
+            if frames:
+                shown += f" frames={len(frames)} from {frames[0]} s to {frames[-1]} s"
+            raise FixtureMissError(f"no fixture for role={role} session={session_id} segment={segment}{shown} "
+                                   f"prompt_hash={prompt_hash[:12]}...") from None
 
     @classmethod
     def load_jsonl(cls, path: str | Path) -> "FixtureStore":

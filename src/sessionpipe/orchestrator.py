@@ -58,19 +58,36 @@ def cache_key(backend_id: str, request: BackendRequest) -> str:
 
 
 class DamagedJournalError(ValueError):
-    """A whole journal line is not a JSON object with a string key and text."""
+    """A whole journal line is not a JSON object with a cache key and a string text."""
+
+
+def _digest(key: str) -> bytes:
+    """The 32 bytes whose lowercase hex a cache key is; ValueError or TypeError for any other key."""
+    digest = bytes.fromhex(key)  # also takes upper case and spaces, so the round trip is checked
+    if len(digest) != 32 or digest.hex() != key:
+        raise ValueError(f"not a cache key: {key!r}")
+    return digest
 
 
 class ResponseCache:
     """Answers by cache key, appended as they arrive to the journal ``cache_dir/JOURNAL_NAME``,
     one sorted-key JSON line each. Loading keeps the last line of each key, cuts off a last line
-    without a newline (a torn write) and refuses any other line that is not a record."""
+    without a newline (a torn write) and refuses any other line that is not a record whose key is
+    the lowercase hex of a SHA-256 digest.
+
+    In memory it holds each answer under the 32 bytes of its key, not the key's 64 hex
+    characters, and one string per distinct answer, since many units get the same answer (a
+    few labels answer most reasoner prompts). The table of distinct texts is kept only while
+    loading and while the journal is open, so a warm cache whose answers all differ holds no
+    more than its keys and texts."""
 
     def __init__(self, cache_dir: Path):
         self._path = cache_dir / JOURNAL_NAME
-        self._texts: dict[str, str] = {}
+        self._texts: dict[bytes, str] = {}
         self._journal: IO[str] | None = None  # opened by the first put
+        self._distinct: dict[str, str] = {}  # each answer text, once, while the journal is open
         if self._path.exists():
+            distinct: dict[str, str] = {}
             whole = 0  # bytes up to the end of the last whole line
             with open(self._path, "rb") as fh:
                 for number, line in enumerate(fh, 1):
@@ -80,31 +97,37 @@ class ResponseCache:
                     try:
                         record = json.loads(line)
                         key, text = record["key"], record["text"]
-                        if not (isinstance(key, str) and isinstance(text, str)):
+                        if not isinstance(text, str):
                             raise TypeError
+                        digest = _digest(key)
                     except (ValueError, TypeError, KeyError):
                         raise DamagedJournalError(
-                            f"{self._path}: line {number} is not a JSON object with a string key and text; "
-                            "repair or delete that line") from None
-                    self._texts[key] = text
+                            f"{self._path}: line {number} is not a JSON object with a string key and text, or its "
+                            "key is not the lowercase hex of a SHA-256 digest; repair or delete that line") from None
+                    self._texts[digest] = distinct.setdefault(text, text)
                     whole += len(line)
 
     def get(self, key: str) -> str | None:
-        return self._texts.get(key)
+        """The answer for a key ``cache_key`` made, or None."""
+        return self._texts.get(bytes.fromhex(key))
 
     def put(self, record: dict) -> None:
-        line = SORTED_JSON.encode(record) + "\n"  # raises before anything is appended
+        digest = _digest(record["key"])  # this and the encoding raise before anything is appended
+        line = SORTED_JSON.encode(record) + "\n"
         if self._journal is None:
             self._path.parent.mkdir(parents=True, exist_ok=True)
             self._journal = open(self._path, "a", encoding="utf-8", buffering=1)  # each line reaches the OS
+            self._distinct = {text: text for text in self._texts.values()}
         self._journal.write(line)
-        self._texts[record["key"]] = record["text"]
+        text = record["text"]
+        self._texts[digest] = self._distinct.setdefault(text, text)
 
     def flush(self) -> None:
         """Close the journal; every answer is already written to it."""
         if self._journal is not None:
             self._journal.close()
             self._journal = None
+            self._distinct = {}
 
 
 def _unusable(request: BackendRequest, text: str) -> BackendError | None:

@@ -218,9 +218,15 @@ class TestFixtureStore:
         assert store.lookup(identity(request)[:-1]) == "t"
 
     def test_a_miss_raises_naming_the_key(self, caption_store):
-        with pytest.raises(FixtureMissError, match=r"^no fixture for role=captioner session=s1 segment=4 "
+        with pytest.raises(FixtureMissError, match=r"^no fixture for role=captioner session=s1 segment=4 media=v "
                                                    r"prompt_hash=[0-9a-f]{12}\.\.\.$"):
             caption_store.lookup(fixture_key(Role.CAPTIONER, "s1", 4, "describe"))
+
+    def test_a_miss_on_other_frames_names_them(self, caption_store):
+        role, session_id, segment, media_ref, _, prompt_hash = fixture_key(Role.CAPTIONER, "s1", 3, "describe")
+        with pytest.raises(FixtureMissError, match=r"^no fixture for role=captioner session=s1 segment=3 media=v "
+                                                   r"frames=3 from 48\.0 s to 49\.0 s prompt_hash=[0-9a-f]{12}\.\.\.$"):
+            caption_store.lookup((role, session_id, segment, media_ref, (48.0, 48.5, 49.0), prompt_hash))
 
 
 def retries(monkeypatch, max_retries: int, backoff_s: float) -> None:

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import closing
 from pathlib import Path
@@ -323,27 +325,64 @@ def _record(key, role="reasoner", text="ok"):
             "prompt_hash": "h", "backend_id": "mock", "text": text}
 
 
+def _hex_key(i: int) -> str:
+    """A cache key: the lowercase hex of a 32-byte digest."""
+    return hashlib.sha256(str(i).encode()).hexdigest()
+
+
+KEYS = [_hex_key(i) for i in range(10)]
+ANSWERS = ("Label: playing with blocks", "Yes, the child shows signs of anxiety.", "No")
+
+
+def _retained_per_record(tmp_path, n, text_of) -> float:
+    """Traced bytes a ResponseCache holds per record after loading a journal of n records."""
+    lines = [json.dumps(_record(_hex_key(i), text=text_of(i)), sort_keys=True) + "\n" for i in range(n)]
+    (tmp_path / JOURNAL_NAME).write_text("".join(lines))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = ResponseCache(tmp_path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert cache.get(_hex_key(n - 1)) == text_of(n - 1)
+    return held / n
+
+
 class TestResponseCacheJournal:
     def test_failed_put_appends_nothing(self, tmp_path):
         cache = ResponseCache(tmp_path)
         for i in range(3):
-            cache.put(_record(f"k{i}"))
+            cache.put(_record(KEYS[i]))
         before = (tmp_path / JOURNAL_NAME).read_bytes()  # three lines, written while the cache is open
         assert len(before.splitlines()) == 3
         with pytest.raises(TypeError):
-            cache.put(_record("k9", text=object()))
+            cache.put(_record(KEYS[9], text=object()))
         assert (tmp_path / JOURNAL_NAME).read_bytes() == before
-        cache.put(_record("k3"))
+        cache.put(_record(KEYS[3]))
         cache.flush()
-        assert [r["key"] for r in read_jsonl(tmp_path / JOURNAL_NAME)] == ["k0", "k1", "k2", "k3"]
+        assert [r["key"] for r in read_jsonl(tmp_path / JOURNAL_NAME)] == KEYS[:4]
         reloaded = ResponseCache(tmp_path)
-        assert reloaded.get("k9") is None
-        assert reloaded.get("k2") == "ok"
+        assert reloaded.get(KEYS[9]) is None
+        assert reloaded.get(KEYS[2]) == "ok"
+
+    # fromhex alone would take upper case and spaces between the byte pairs
+    @pytest.mark.parametrize("key", ["k", KEYS[0].upper(), " ".join(KEYS[0][i:i + 2] for i in range(0, 64, 2)),
+                                     KEYS[0][:62], KEYS[0] + "00", 7],
+                             ids=["short", "upper-case", "spaced", "31-bytes", "33-bytes", "int"])
+    def test_a_key_that_is_not_a_digest_appends_nothing(self, tmp_path, key):
+        cache = ResponseCache(tmp_path)
+        cache.put(_record(KEYS[1]))
+        before = (tmp_path / JOURNAL_NAME).read_bytes()
+        with pytest.raises((ValueError, TypeError)):
+            cache.put(_record(key))
+        cache.flush()
+        assert (tmp_path / JOURNAL_NAME).read_bytes() == before
 
     def test_torn_tail_is_cut_before_the_next_append(self, tmp_path):
         cache = ResponseCache(tmp_path)
-        cache.put(_record("k0"))
-        cache.put(_record("k1", text="second"))
+        cache.put(_record(KEYS[0]))
+        cache.put(_record(KEYS[1], text="second"))
         cache.flush()
         journal = tmp_path / JOURNAL_NAME
         whole = journal.read_bytes()
@@ -351,13 +390,37 @@ class TestResponseCacheJournal:
         journal.write_bytes(whole[:-5])
         cache = ResponseCache(tmp_path)
         assert journal.read_bytes() == first_line
-        assert (cache.get("k0"), cache.get("k1")) == ("ok", None)
-        cache.put(_record("k1", text="second"))
+        assert (cache.get(KEYS[0]), cache.get(KEYS[1])) == ("ok", None)
+        cache.put(_record(KEYS[1], text="second"))
         cache.flush()
         assert journal.read_bytes() == whole
 
+    def test_an_answer_many_keys_share_is_held_once(self, tmp_path):
+        # 64-character key strings and a copy of the text per record held about 210 B per record;
+        # 32-byte keys and one text per distinct answer, about 102 B (tracemalloc, Python 3.11)
+        assert _retained_per_record(tmp_path, 2000, lambda i: ANSWERS[i % 3]) < 150
+
+    def test_answers_that_all_differ_cost_no_more_than_before(self, tmp_path):
+        # 216.7 B per record with 64-character key strings; about 180 B with 32-byte keys, since the
+        # index of distinct texts is dropped after loading (tracemalloc, Python 3.11)
+        assert _retained_per_record(tmp_path, 2000, lambda i: f"{ANSWERS[i % 3]} ({i})") <= 216.7
+
+    def test_equal_answers_are_held_once_across_puts_and_loads(self, tmp_path):
+        cache = ResponseCache(tmp_path)
+        for i in range(3):
+            cache.put(_record(KEYS[i], text="".join(["o", "k"])))  # equal texts, each its own object
+        cache.flush()
+        cache.put(_record(KEYS[3], text="".join(["o", "k"])))  # the journal opened again
+        assert len({id(cache.get(k)) for k in KEYS[:4]}) == 1
+        cache.flush()
+        reloaded = ResponseCache(tmp_path)
+        assert len({id(reloaded.get(k)) for k in KEYS[:4]}) == 1
+
     @pytest.mark.parametrize("damage", [b"{not json", b"[]", b'"text"', b'{"key": "k"}', b'{"key": "k", "text": 1}',
-                                        b"", b"\xff"])
+                                        b"", b"\xff", b'{"key": "k", "text": "t"}',
+                                        b'{"key": "%s", "text": "t"}' % KEYS[0].upper().encode(),
+                                        b'{"key": "%s", "text": "t"}' % KEYS[0][:62].encode(),
+                                        b'{"key": 7, "text": "t"}'])
     def test_a_damaged_line_stops_the_run_and_is_named(self, sim_out, tmp_path, damage):
         cfg = make_config(sim_out, tmp_path)
         run(cfg)
