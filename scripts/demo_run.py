@@ -11,9 +11,9 @@ import tempfile
 from pathlib import Path
 
 from sessionpipe import orchestrator
-from sessionpipe.config import RunConfig
+from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
 from sessionpipe.prompting import RefinementMode
-from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 
 
 def main() -> None:

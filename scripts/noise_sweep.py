@@ -14,11 +14,11 @@ import tempfile
 from pathlib import Path
 
 from sessionpipe import orchestrator
-from sessionpipe.config import RunConfig
+from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
 from sessionpipe.corpus import TaskKind
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.scoring import report_row
-from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 
 
 def ar_macro(workdir: Path, seed: int, flip_p: float) -> float:

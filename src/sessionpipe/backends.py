@@ -15,7 +15,6 @@ import hashlib
 import json
 import operator
 import sys
-import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
@@ -203,10 +202,7 @@ class Backend(ABC):
 
 
 class MockBackend(Backend):
-    """Deterministic fixture-backed backend; identical request, identical reply.
-
-    Thread-safe; keeps a call counter so tests can assert cache behavior.
-    """
+    """Deterministic fixture-backed backend; identical request, identical reply."""
 
     in_process = True
 
@@ -214,12 +210,8 @@ class MockBackend(Backend):
 
     def __init__(self, store: FixtureStore):
         self._store = store
-        self._lock = threading.Lock()
-        self.call_count = 0
 
     def complete(self, request: BackendRequest) -> BackendResponse:
-        with self._lock:
-            self.call_count += 1
         text = self._store.lookup(identity(request)[:-1])
         return BackendResponse(text=text, latency_ms=0.0, attempt=1)
 

@@ -5,18 +5,18 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import closing
+from dataclasses import fields
 from pathlib import Path
 
 import click
 
 from . import scoring, windowing
-from .config import BadSettingError, RunConfig
+from .config import BadSettingError, NoiseSpec, RunConfig, SimConfig
 from .corpus import TaskKind, load_corpus, load_taxonomy, replacing
 from .prompting import RefinementMode, check_chunk_len
 
 _MODE_CHOICES = [m.value for m in RefinementMode]
 _TASK_CHOICES = [t.value for t in TaskKind]
-_RUN_DEFAULTS = RunConfig  # the run options default to its field defaults
 # inputs that must exist: a missing one exits 2 with a message naming its option
 _EXISTING_DIR = click.Path(exists=True, file_okay=False, path_type=Path)
 _EXISTING_FILE = click.Path(exists=True, dir_okay=False, path_type=Path)
@@ -37,30 +37,21 @@ def main():
 @main.command()
 @click.option("--out", "out_dir", type=_OUT_DIR, metavar="PATH", required=True,
               help="Output directory for corpus/ and fixtures.jsonl.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--n-sessions", type=int, default=20, show_default=True)
-@click.option("--duration-s", type=float, default=320.0, show_default=True)
-@click.option("--caption-flip-p", type=float, default=0.0, show_default=True)
-@click.option("--transcript-drop-p", type=float, default=0.0, show_default=True)
-@click.option("--reasoner-flip-p", type=float, default=0.0, show_default=True)
-@click.option("--chunk-lens", default="16,64", show_default=True,
+@click.option("--seed", type=int, default=SimConfig.seed, show_default=True)
+@click.option("--n-sessions", type=int, default=SimConfig.n_sessions, show_default=True)
+@click.option("--duration-s", type=float, default=SimConfig.duration_s, show_default=True)
+@click.option("--caption-flip-p", type=float, default=NoiseSpec.caption_flip_p, show_default=True)
+@click.option("--transcript-drop-p", type=float, default=NoiseSpec.transcript_drop_p, show_default=True)
+@click.option("--reasoner-flip-p", type=float, default=NoiseSpec.reasoner_flip_p, show_default=True)
+@click.option("--chunk-lens", default=",".join(map(str, windowing.SUPPORTED_CHUNK_LENGTHS)), show_default=True,
               help="Comma-separated transcript chunk lengths to cover.")
-def simulate(out_dir, seed, n_sessions, duration_s, caption_flip_p,
-             transcript_drop_p, reasoner_flip_p, chunk_lens):
+def simulate(out_dir, chunk_lens, **options):
     """Generate a synthetic corpus plus matching backend fixtures."""
     from . import simulator
 
-    try:
-        cfg = simulator.SimConfig(
-            seed=seed,
-            n_sessions=n_sessions,
-            duration_s=duration_s,
-            noise=simulator.NoiseSpec(
-                caption_flip_p=caption_flip_p,
-                transcript_drop_p=transcript_drop_p,
-                reasoner_flip_p=reasoner_flip_p,
-            ),
-        )
+    try:  # every other option's dest is a NoiseSpec or a SimConfig field
+        noise = NoiseSpec(**{f.name: options.pop(f.name) for f in fields(NoiseSpec)})
+        cfg = SimConfig(noise=noise, **options)
         lens = tuple(int(x) for x in chunk_lens.split(","))
         windowing.check_chunk_lengths(lens)
     except ValueError as exc:
@@ -94,17 +85,17 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 @click.option("--fixtures", "fixtures_path", type=_EXISTING_FILE, default=None,
               help="Fixture JSONL for the deterministic mock backend.")
 @click.option("--endpoint", default=None, help="Base URL of a chat-completions server.")
-@click.option("--model", default=_RUN_DEFAULTS.model, show_default=True)
+@click.option("--model", default=RunConfig.model, show_default=True)
 @click.option("--api-key", default=None)
 @click.option("--modes", default=",".join(_MODE_CHOICES), show_default=True)
 @click.option("--tasks", default=",".join(_TASK_CHOICES), show_default=True)
-@click.option("--chunk-lens", default=",".join(map(str, _RUN_DEFAULTS.chunk_lens)), show_default=True)
-@click.option("--concurrency", type=int, default=_RUN_DEFAULTS.concurrency, show_default=True)
-@click.option("--seed", type=int, default=_RUN_DEFAULTS.seed, show_default=True)
-@click.option("--window-s", type=float, default=_RUN_DEFAULTS.window_s, show_default=True)
-@click.option("--fps", type=float, default=_RUN_DEFAULTS.fps, show_default=True)
-@click.option("--min-activity-duration-s", type=float, default=_RUN_DEFAULTS.min_activity_duration_s, show_default=True)
-@click.option("--failure-threshold", type=float, default=_RUN_DEFAULTS.failure_threshold, show_default=True)
+@click.option("--chunk-lens", default=",".join(map(str, RunConfig.chunk_lens)), show_default=True)
+@click.option("--concurrency", type=int, default=RunConfig.concurrency, show_default=True)
+@click.option("--seed", type=int, default=RunConfig.seed, show_default=True)
+@click.option("--window-s", type=float, default=RunConfig.window_s, show_default=True)
+@click.option("--fps", type=float, default=RunConfig.fps, show_default=True)
+@click.option("--min-activity-duration-s", type=float, default=RunConfig.min_activity_duration_s, show_default=True)
+@click.option("--failure-threshold", type=float, default=RunConfig.failure_threshold, show_default=True)
 @click.option("--allow-partial", is_flag=True,
               help="Exit zero even when sessions were marked invalid.")
 @click.option("--template-dir", type=_EXISTING_DIR, default=None)
@@ -124,7 +115,7 @@ def run_command(modes, tasks, chunk_lens, allow_partial, **options):
         raise _usage_error(exc) from None
     try:
         report = orchestrator.run(cfg)
-    except (orchestrator.DamagedJournalError, FixtureFileError) as exc:
+    except (orchestrator.DamagedJournalError, orchestrator.OldCacheLayoutError, FixtureFileError) as exc:
         click.echo(f"Error: {exc}", err=True)
         sys.exit(2)
     except EndpointError as exc:

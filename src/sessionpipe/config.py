@@ -1,9 +1,10 @@
-"""A run's settings: ``RunConfig`` and the checks that refuse values no run can use."""
+"""The settings of a run (``RunConfig``) and of a simulation (``SimConfig``, ``NoiseSpec``), with
+the checks that refuse values no run can use. The CLI's options default to their fields."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -13,8 +14,6 @@ from .prompting import TRANSCRIPT_MODES, RefinementMode
 
 ALL_MODES = tuple(RefinementMode)
 ALL_TASKS = tuple(TaskKind)
-
-JOURNAL_NAME = "responses-v2.jsonl"  # stands for orchestrator.cache_key's schema: rename it when the key changes
 
 
 class BadSettingError(ValueError):
@@ -51,9 +50,8 @@ class RunConfig:
         self.taxonomy_path = Path(self.taxonomy_path)
         self.report_dir = Path(self.report_dir)
         self.cache_dir = Path(self.cache_dir) if self.cache_dir is not None else self.report_dir / "cache"
-        if stale := sorted(p.name for p in self.cache_dir.glob("*.jsonl") if p.name != JOURNAL_NAME):
-            raise ValueError(f"{self.cache_dir} holds cache files of an older layout: {', '.join(stale)}. Their "
-                             f"keys are not this version's, so no run can reuse them: remove them.")
+        if (self.fixtures_path is None) == (self.endpoint is None):
+            raise ValueError("a run needs exactly one backend: fixtures_path (--fixtures) or endpoint (--endpoint)")
         # canonical ordering keeps reports byte-stable regardless of input order
         self.modes = tuple(m for m in RefinementMode if m in set(self.modes))
         self.tasks = tuple(t for t in TaskKind if t in set(self.tasks))
@@ -75,3 +73,34 @@ class RunConfig:
             if not valid:
                 raise BadSettingError(name, rule, getattr(self, name))
         windowing.check_chunk_lengths(self.chunk_lens)
+
+
+@dataclass(frozen=True)
+class NoiseSpec:
+    """Independent corruption rates for the three content channels."""
+
+    caption_flip_p: float = 0.0
+    transcript_drop_p: float = 0.0
+    reasoner_flip_p: float = 0.0
+
+    def __post_init__(self):
+        for name in ("caption_flip_p", "transcript_drop_p", "reasoner_flip_p"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise BadSettingError(name, "in [0, 1]", p)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Corpus generation parameters."""
+
+    seed: int = 0
+    n_sessions: int = 20
+    duration_s: float = 320.0
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
+
+    def __post_init__(self):
+        if self.n_sessions < 1:
+            raise BadSettingError("n_sessions", ">= 1", self.n_sessions)
+        if not 0 < self.duration_s < math.inf:  # NaN fails too
+            raise BadSettingError("duration_s", "finite and > 0", self.duration_s)

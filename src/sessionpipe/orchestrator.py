@@ -36,7 +36,7 @@ from .backends import (
     identity,
     parse_utterances_json,
 )
-from .config import JOURNAL_NAME, RunConfig
+from .config import RunConfig
 from .corpus import ACTIVITY_TASKS, SORTED_JSON, ActivityTaxonomy, load_corpus, load_taxonomy, read_jsonl
 from .http_backend import HttpChatBackend
 from .parsing import parse_binary, parse_label
@@ -47,6 +47,7 @@ from .scoring import Scorer, evaluate_predictions, write_report_files
 from .windowing import TranscriptChunk
 
 _DECODING = f"temperature={TEMPERATURE!r};max_tokens={MAX_TOKENS}"
+JOURNAL_NAME = "responses-v2.jsonl"  # stands for cache_key's schema: rename it when the key changes
 
 
 def cache_key(backend_id: str, request: BackendRequest) -> str:
@@ -61,6 +62,10 @@ class DamagedJournalError(ValueError):
     """A whole journal line is not a JSON object with a cache key and a string text."""
 
 
+class OldCacheLayoutError(ValueError):
+    """The cache directory holds journals of an older key schema, which no run can reuse."""
+
+
 def _digest(key: str) -> bytes:
     """The 32 bytes whose lowercase hex a cache key is; ValueError or TypeError for any other key."""
     digest = bytes.fromhex(key)  # also takes upper case and spaces, so the round trip is checked
@@ -73,7 +78,8 @@ class ResponseCache:
     """Answers by cache key, appended as they arrive to the journal ``cache_dir/JOURNAL_NAME``,
     one sorted-key JSON line each. Loading keeps the last line of each key, cuts off a last line
     without a newline (a torn write) and refuses any other line that is not a record whose key is
-    the lowercase hex of a SHA-256 digest.
+    the lowercase hex of a SHA-256 digest. A directory that holds any other ``*.jsonl`` (the
+    journal of an older key schema) is refused before anything is read.
 
     In memory it holds each answer under the 32 bytes of its key, not the key's 64 hex
     characters, and one string per distinct answer, since many units get the same answer (a
@@ -82,6 +88,9 @@ class ResponseCache:
     more than its keys and texts."""
 
     def __init__(self, cache_dir: Path):
+        if stale := sorted(p.name for p in cache_dir.glob("*.jsonl") if p.name != JOURNAL_NAME):
+            raise OldCacheLayoutError(f"{cache_dir} holds cache files of an older layout: {', '.join(stale)}. Their "
+                                      f"keys are not this version's, so no run can reuse them: remove them.")
         self._path = cache_dir / JOURNAL_NAME
         self._texts: dict[bytes, str] = {}
         self._journal: IO[str] | None = None  # opened by the first put
@@ -203,8 +212,6 @@ def _fetch(
 
 def _backend_id(cfg: RunConfig) -> str:
     """The id of the backend ``build_backend(cfg)`` makes."""
-    if (cfg.fixtures_path is None) == (cfg.endpoint is None):
-        raise ValueError("RunConfig needs either a fixtures_path or an endpoint, not both")
     return "mock" if cfg.fixtures_path is not None else f"http:{cfg.model}"
 
 

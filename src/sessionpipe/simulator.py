@@ -12,15 +12,14 @@ shifts the noise applied elsewhere.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import aggregation, corpus, metrics, windowing
 from .backends import IDENTITY, BackendRequest, Role, identity, utterances_to_json
-from .config import ALL_MODES, ALL_TASKS, BadSettingError, RunConfig
+from .config import ALL_MODES, ALL_TASKS, RunConfig, SimConfig
 from .corpus import (
     ACTIVITY_TASKS,
     E_TASKS,
@@ -73,37 +72,6 @@ NO_SIGNAL_ANSWER = "It is unclear from the evidence provided."
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Independent corruption rates for the three content channels."""
-
-    caption_flip_p: float = 0.0
-    transcript_drop_p: float = 0.0
-    reasoner_flip_p: float = 0.0
-
-    def __post_init__(self):
-        for name in ("caption_flip_p", "transcript_drop_p", "reasoner_flip_p"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise BadSettingError(name, "in [0, 1]", p)
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Corpus generation parameters."""
-
-    seed: int
-    n_sessions: int = 20
-    duration_s: float = 320.0
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-
-    def __post_init__(self):
-        if self.n_sessions < 1:
-            raise BadSettingError("n_sessions", ">= 1", self.n_sessions)
-        if not 0 < self.duration_s < math.inf:  # NaN fails too
-            raise BadSettingError("duration_s", "finite and > 0", self.duration_s)
-
-
-@dataclass(frozen=True)
 class SimOutput:
     corpus_dir: Path
     fixtures_path: Path
@@ -153,7 +121,6 @@ def _binary_answer(present: bool) -> str:
 class _SessionWorld:
     manifest: SessionManifest
     segments: list[Segment]
-    true_labels: list[str]
     caption_labels: list[str]
     captions: list[str]
     utterances: list[TimedUtterance]
@@ -186,7 +153,8 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
     session_id = f"sim-{index:03d}"
     rng_world = _derived_rng(cfg.seed, session_id, "world")
     timeline = _make_timeline(cfg, rng_world)
-    segments = windowing.plan_segments(cfg.duration_s, RunConfig.window_s, session_id=session_id)
+    # a run at the default window and frame rate plans these segments, so it finds a fixture for each caption
+    segments = windowing.plan_segments(cfg.duration_s, RunConfig.window_s, RunConfig.fps, session_id=session_id)
     true_labels = []
     for seg in segments:
         label = metrics.resolve_segment_gold(seg, timeline)
@@ -261,7 +229,6 @@ def _build_session(cfg: SimConfig, index: int) -> _SessionWorld:
     return _SessionWorld(
         manifest=manifest,
         segments=segments,
-        true_labels=true_labels,
         caption_labels=caption_labels,
         captions=captions,
         utterances=utterances,
@@ -332,7 +299,7 @@ def generate_corpus(
     out_dir: str | Path,
     tasks: Sequence[TaskKind] | None = None,
     modes: Sequence[RefinementMode] | None = None,
-    chunk_lens: Sequence[int] = (16, 64),
+    chunk_lens: Sequence[int] = windowing.SUPPORTED_CHUNK_LENGTHS,
 ) -> SimOutput:
     """Write a corpus directory plus the fixture file covering the given sweep.
 

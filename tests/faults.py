@@ -21,7 +21,8 @@ class FaultyBackend(Backend):
     - With ``kill_after`` = N, the request after the N-th answer calls
       ``on_kill`` (while the run is still live) and raises ``Killed``.
 
-    It runs inline, so answers reach the cache in request order.
+    It runs inline, so answers reach the cache in request order. Told nothing
+    else, it only counts: ``sent`` holds the key of every request the run sent.
     """
 
     in_process = True

@@ -16,16 +16,17 @@ from hypothesis import strategies as st
 from sessionpipe import orchestrator
 from sessionpipe.aggregation import lift_session
 from sessionpipe.backends import FixtureStore, MockBackend
-from sessionpipe.config import RunConfig
+from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
 from sessionpipe.corpus import ActivityTaxonomy, TaskKind
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.http_backend import HttpChatBackend
 from sessionpipe.metrics import RankedScore, macro_f1_multiclass, macro_f1_multilabel, pr_auc
 from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.scoring import report_row
-from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 from sessionpipe.windowing import fill_chunks, plan_segments, plan_transcript_chunks
 
+from .faults import FaultyBackend
 from .oracles import (
     brute_average_precision,
     brute_multiclass_macro_f1,
@@ -241,9 +242,9 @@ def test_determinism_and_idempotence(tmp_path):
     second = (cfg2.report_dir / "report.json").read_bytes()
     assert first == second
 
-    warm = MockBackend(FixtureStore.load_jsonl(out.fixtures_path))
+    warm = FaultyBackend(MockBackend(FixtureStore.load_jsonl(out.fixtures_path)))
     orchestrator.run(cfg2, backend=warm)
-    assert warm.call_count == 0
+    assert warm.sent == []
     assert (cfg2.report_dir / "report.json").read_bytes() == second
 
 

@@ -41,13 +41,13 @@ from sessionpipe.backends import (
     prompt_sha256,
     utterances_to_json,
 )
-from sessionpipe.config import RunConfig
+from sessionpipe.config import RunConfig, SimConfig
 from sessionpipe.corpus import read_jsonl, write_jsonl
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.http_backend import HttpChatBackend, tls_context
 from sessionpipe.orchestrator import run
 from sessionpipe.prompting import RefinementMode
-from sessionpipe.simulator import SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 from sessionpipe.windowing import TimedUtterance
 
 
@@ -100,7 +100,6 @@ class TestMockBackend:
         with ThreadPoolExecutor(max_workers=8) as pool:
             texts = {r.text for r in pool.map(lambda _: backend.complete(request), range(64))}
         assert texts == {"The child stacks blocks on the rug."}
-        assert backend.call_count == 64
 
     def test_reason_identity(self):
         store = make_store([(Role.REASONER, "s1", 0, "which label?", "conversation")])

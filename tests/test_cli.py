@@ -12,7 +12,7 @@ import sessionpipe
 from sessionpipe import corpus
 from sessionpipe.corpus import read_jsonl, write_jsonl
 from sessionpipe.cli import main
-from sessionpipe.config import JOURNAL_NAME
+from sessionpipe.orchestrator import JOURNAL_NAME
 
 
 @pytest.fixture
@@ -120,6 +120,21 @@ def test_run_rejects_an_endpoint_no_request_can_reach(runner, sim_tree, tmp_path
     assert "Invalid value for --endpoint" in result.output and message in result.output
     assert "Traceback" not in result.output
     assert not (tmp_path / "report" / "cache").exists()
+
+
+@pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+def test_run_needs_either_fixtures_or_endpoint(runner, sim_tree, tmp_path, both):
+    args = _run_args(sim_tree, tmp_path)
+    if both:
+        args += ["--endpoint", "http://127.0.0.1:1"]
+    else:
+        at = args.index("--fixtures")
+        del args[at:at + 2]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "--fixtures" in result.output and "--endpoint" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report").exists()
 
 
 # (command, option, what it is given): a missing input, or an existing path of the wrong kind

@@ -27,10 +27,10 @@ from sessionpipe.backends import (
     MockBackend,
     TransportError,
 )
-from sessionpipe.config import JOURNAL_NAME, RunConfig
+from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
 from sessionpipe.corpus import read_jsonl
-from sessionpipe.orchestrator import load_predictions, run
-from sessionpipe.simulator import NoiseSpec, SimConfig, SimOutput, generate_corpus
+from sessionpipe.orchestrator import JOURNAL_NAME, load_predictions, run
+from sessionpipe.simulator import SimOutput, generate_corpus
 
 from .faults import FaultyBackend, Killed
 
@@ -76,7 +76,7 @@ def ref(tmp_path_factory) -> Reference:
     store = FixtureStore.load_jsonl(sim.fixtures_path)
     outputs = {}
     for threshold in THRESHOLDS:
-        backend = MockBackend(store)
+        backend = FaultyBackend(MockBackend(store))
         cfg = _config(sim, root / f"ref-{threshold}", threshold)
         report = run(cfg, backend=backend)
         assert report["failures"] == [] and report["invalid_sessions"] == []
@@ -85,7 +85,7 @@ def ref(tmp_path_factory) -> Reference:
     predictions = load_predictions(cfg.report_dir / "predictions.jsonl")
     units = Counter(p["cache_key"] for p in predictions)
     return Reference(
-        sim=sim, store=store, outputs=outputs, journal=_journal(cfg).read_bytes(), total=backend.call_count,
+        sim=sim, store=store, outputs=outputs, journal=_journal(cfg).read_bytes(), total=len(backend.sent),
         records=records, windows={p["cache_key"]: (p["start_s"], p["end_s"]) for p in predictions},
         faultable=sorted(key for key, r in records.items() if units[key] <= 1 and r["role"] != "transcriber"),
         transcripts=sorted(key for key, r in records.items() if r["role"] == "transcriber"),
@@ -114,9 +114,9 @@ def test_killed_run_resumes_with_exactly_the_missing_requests(ref, share):
             assert len(at_kill[0]) == n and all(line.endswith(b"\n") for line in at_kill[0])
         else:
             run(cfg, backend=dying)
-        resumed = MockBackend(ref.store)
+        resumed = FaultyBackend(MockBackend(ref.store))
         run(cfg, backend=resumed)
-        assert resumed.call_count == ref.total - n
+        assert len(resumed.sent) == ref.total - n
         assert _outputs(cfg) == ref.outputs[0.1]
         assert sorted(_lines(_journal(cfg))) == sorted(ref.journal.splitlines(keepends=True))
 
@@ -174,9 +174,9 @@ def test_raised_faults_are_counted_and_a_rerun_repairs_them(ref, data):
 
         answered = len(_lines(_journal(cfg)))
         assert answered == len(faulty.sent) - len(faulty.raised) - len(torn_sent)  # a torn transcript is a failure
-        rerun = MockBackend(ref.store)
+        rerun = FaultyBackend(MockBackend(ref.store))
         run(cfg, backend=rerun)
-        assert rerun.call_count == ref.total - answered
+        assert len(rerun.sent) == ref.total - answered
         assert _outputs(cfg) == ref.outputs[threshold]
 
 
@@ -189,9 +189,9 @@ def test_torn_tail_is_cut_and_fetched_again(ref, data):
         cfg = _config(ref.sim, Path(td) / "report")
         cfg.cache_dir.mkdir(parents=True)
         _journal(cfg).write_bytes(ref.journal[:-cut])
-        backend = MockBackend(ref.store)
+        backend = FaultyBackend(MockBackend(ref.store))
         run(cfg, backend=backend)
-        assert backend.call_count == 1
+        assert len(backend.sent) == 1
         journal = _journal(cfg).read_bytes()
         assert journal.endswith(b"\n")
         assert [json.loads(line) for line in journal.splitlines()] == [
@@ -208,14 +208,14 @@ def test_a_journaled_torn_transcript_is_fetched_again(ref, tmp_path):
     cfg = _config(ref.sim, tmp_path / "report")
     cfg.cache_dir.mkdir(parents=True)
     _journal(cfg).write_bytes(b"".join(lines))
-    backend = MockBackend(ref.store)
+    backend = FaultyBackend(MockBackend(ref.store))
     run(cfg, backend=backend)
-    assert backend.call_count == 1
+    assert len(backend.sent) == 1
     assert _outputs(cfg) == ref.outputs[0.1]
     assert _lines(_journal(cfg)) == [*lines, json.dumps(ref.records[key], sort_keys=True).encode() + b"\n"]
-    again = MockBackend(ref.store)
+    again = FaultyBackend(MockBackend(ref.store))
     run(cfg, backend=again)
-    assert again.call_count == 0
+    assert again.sent == []
 
 
 def test_old_role_files_appended_to_the_journal_make_a_warm_cache(ref, tmp_path):
@@ -227,7 +227,7 @@ def test_old_role_files_appended_to_the_journal_make_a_warm_cache(ref, tmp_path)
     cfg = _config(ref.sim, tmp_path / "report")
     cfg.cache_dir.mkdir(parents=True)
     _journal(cfg).write_bytes(b"".join(line for lines in role_files.values() for line in sorted(lines)))
-    backend = MockBackend(ref.store)
+    backend = FaultyBackend(MockBackend(ref.store))
     run(cfg, backend=backend)
-    assert backend.call_count == 0
+    assert backend.sent == []
     assert _outputs(cfg) == ref.outputs[0.1]

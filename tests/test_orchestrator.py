@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sessionpipe import config, orchestrator, scoring
+from sessionpipe import orchestrator, scoring
 from sessionpipe.backends import (
     IDENTITY,
     Backend,
@@ -28,16 +28,16 @@ from sessionpipe.backends import (
     TransportError,
     identity,
 )
-from sessionpipe.config import JOURNAL_NAME, RunConfig
+from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
 from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, read_jsonl, write_corpus
 from sessionpipe.fixture_server import FixtureChatServer
-from sessionpipe.orchestrator import ResponseCache, load_predictions, run
+from sessionpipe.orchestrator import JOURNAL_NAME, ResponseCache, load_predictions, run
 from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
 from sessionpipe.scoring import report_row
-from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
 
-from .faults import EchoBackend, Killed
+from .faults import EchoBackend, FaultyBackend, Killed
 
 ALL_MODES = tuple(RefinementMode)
 
@@ -81,20 +81,20 @@ class TestRun:
     def test_warm_cache_issues_zero_calls(self, sim_out, tmp_path):
         cfg = make_config(sim_out, tmp_path)
         store = FixtureStore.load_jsonl(sim_out.fixtures_path)
-        first = MockBackend(store)
+        first = FaultyBackend(MockBackend(store))
         run(cfg, backend=first)
-        assert first.call_count > 0
-        second = MockBackend(store)
+        assert first.sent
+        second = FaultyBackend(MockBackend(store))
         run(cfg, backend=second)
-        assert second.call_count == 0
+        assert second.sent == []
 
     def test_new_seed_sends_every_request_again(self, sim_out, tmp_path):
         store = FixtureStore.load_jsonl(sim_out.fixtures_path)
-        cold = MockBackend(store)
+        cold = FaultyBackend(MockBackend(store))
         run(make_config(sim_out, tmp_path, seed=0), backend=cold)
-        reseeded = MockBackend(store)
+        reseeded = FaultyBackend(MockBackend(store))
         report = run(make_config(sim_out, tmp_path, seed=1), backend=reseeded)
-        assert reseeded.call_count == cold.call_count > 0
+        assert len(reseeded.sent) == len(cold.sent) > 0
         assert report["config"]["seed"] == 1
 
     def test_two_fresh_runs_byte_identical_report(self, sim_out, tmp_path):
@@ -192,14 +192,14 @@ class TestExecution:
         modes, lens = (RefinementMode.TRANSCRIPT_ONLY,), (16, 64)
         sim = SimConfig(seed=0, n_sessions=1, duration_s=128.0, noise=NoiseSpec(transcript_drop_p=1.0))
         out = generate_corpus(sim, tmp_path / "sim", modes=modes, chunk_lens=lens)
-        backend = MockBackend(FixtureStore.load_jsonl(out.fixtures_path))
+        backend = FaultyBackend(MockBackend(FixtureStore.load_jsonl(out.fixtures_path)))
         if concurrency is not None:
             backend = Remote(backend, fail=lambda request: request.segment_index == 0)
         cfg = make_config(out, tmp_path, modes=modes, chunk_lens=lens, concurrency=concurrency or 1)
         report = run(cfg, backend=backend)
         preds = load_predictions(cfg.report_dir / "predictions.jsonl")
         if concurrency is None:
-            assert backend.call_count == 5 * 8 + 1  # the unit keys, plus the transcript
+            assert len(backend.sent) == 5 * 8 + 1  # the unit keys, plus the transcript
             assert len(preds) == 5 * (8 + 2)
             assert len({p["cache_key"] for p in preds}) == 5 * 8
         else:
@@ -427,17 +427,17 @@ class TestResponseCacheJournal:
         journal = cfg.cache_dir / JOURNAL_NAME
         lines = journal.read_bytes().splitlines(keepends=True)
         journal.write_bytes(b"".join([*lines[:2], damage + b"\n", *lines[3:]]))
-        backend = MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
+        backend = FaultyBackend(MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path)))
         with pytest.raises(orchestrator.DamagedJournalError,
                            match=rf"^{journal}: line 3 is not a JSON object with a string key and text"):
             run(cfg, backend=backend)
-        assert backend.call_count == 0
+        assert backend.sent == []
 
     def test_other_jsonl_files_in_the_cache_dir_are_refused(self, tmp_path):
         (tmp_path / "captions.jsonl").write_text("")
         (tmp_path / JOURNAL_NAME).write_text("")
-        with pytest.raises(ValueError, match="captions.jsonl") as err:
-            RunConfig(corpus_dir=tmp_path, taxonomy_path=tmp_path, report_dir=tmp_path, cache_dir=tmp_path)
+        with pytest.raises(orchestrator.OldCacheLayoutError, match="captions.jsonl") as err:
+            ResponseCache(tmp_path)
         assert "remove them" in str(err.value)
 
 
@@ -483,7 +483,8 @@ class TestFailureHandling:
 
         with FixtureChatServer(Refusing(records)) as server:
             backend = HttpChatBackend(server.base_url)
-            report = run(make_config(out, tmp_path, modes=modes, fixtures_path=None), backend=backend)
+            report = run(make_config(out, tmp_path, modes=modes, fixtures_path=None, endpoint=server.base_url),
+                         backend=backend)
         assert lookups.count(refused_key) == 1  # malformed: not retried
         assert [(f["role"], f["segment_index"], f["prompt_hash"], f["error"].split(":")[0])
                 for f in report["failures"]] == [("reasoner", 2, refused["prompt_hash"], "MalformedResponseError")]
@@ -554,16 +555,17 @@ class TestRunConfigValidation:
         )
         assert cfg.modes == (RefinementMode.ZERO_SHOT, RefinementMode.MULTIMODAL)
 
-    def test_backend_required(self, sim_out, tmp_path):
-        cfg = make_config(sim_out, tmp_path, fixtures_path=None)
-        with pytest.raises(ValueError):
-            orchestrator.build_backend(cfg)
+    @pytest.mark.parametrize("backend", [dict(fixtures_path=None), dict(endpoint="http://127.0.0.1:1")],
+                             ids=["neither", "both"])
+    def test_backend_required(self, sim_out, tmp_path, backend):
+        with pytest.raises(ValueError, match="--fixtures.*--endpoint"):
+            make_config(sim_out, tmp_path, **backend)
 
     def test_unsupported_chunk_len_rejected_before_any_request(self, sim_out, tmp_path):
-        backend = MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path))
+        backend = FaultyBackend(MockBackend(FixtureStore.load_jsonl(sim_out.fixtures_path)))
         with pytest.raises(UnsupportedChunkLengthError):
             run(make_config(sim_out, tmp_path, chunk_lens=(16, 32)), backend=backend)
-        assert backend.call_count == 0
+        assert backend.sent == []
         assert not (tmp_path / "report").exists()
 
 
@@ -658,7 +660,7 @@ def test_the_fixture_store_and_the_fixture_server_find_the_same_fixtures(served,
 def test_cache_key_is_pinned_to_the_journal_name(backend_id, request_, digest):
     # every journal line is addressed by these digests: a key that changes must come with a new JOURNAL_NAME,
     # so that a cache written under the old key is refused instead of silently missed
-    assert config.JOURNAL_NAME == "responses-v2.jsonl"
+    assert orchestrator.JOURNAL_NAME == "responses-v2.jsonl"
     assert orchestrator.cache_key(backend_id, request_) == digest
 
 

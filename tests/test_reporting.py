@@ -1,10 +1,10 @@
 import pytest
 
-from sessionpipe.config import RunConfig
+from sessionpipe.config import RunConfig, SimConfig
 from sessionpipe.orchestrator import run
 from sessionpipe.prompting import RefinementMode
 from sessionpipe.reporting import render_markdown
-from sessionpipe.simulator import SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 
 
 @pytest.fixture(scope="module")

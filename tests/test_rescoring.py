@@ -21,12 +21,12 @@ from hypothesis import strategies as st
 from sessionpipe import orchestrator
 from sessionpipe.backends import Backend, FixtureStore, MockBackend
 from sessionpipe.cli import main
-from sessionpipe.config import RunConfig
+from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
 from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, read_jsonl, write_corpus, write_jsonl
 from sessionpipe.orchestrator import run
 from sessionpipe.parsing import ParsedLabel
 from sessionpipe.prompting import RefinementMode
-from sessionpipe.simulator import NoiseSpec, SimConfig, generate_corpus
+from sessionpipe.simulator import generate_corpus
 from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS
 
 SWEEP = st.fixed_dictionaries(

@@ -1,14 +1,13 @@
 import pytest
 
 from sessionpipe.backends import prompt_sha256
-from sessionpipe.config import BadSettingError
+from sessionpipe.config import BadSettingError, NoiseSpec, RunConfig, SimConfig
 from sessionpipe.corpus import E_TASKS, TaskKind, load_corpus, load_taxonomy, read_jsonl
+from sessionpipe.orchestrator import run
 from sessionpipe.prompting import DESCRIPTION_PROMPT, RefinementMode
 from sessionpipe.simulator import (
     ACTIVITY_DWELL_S,
     E_BASE_RATES,
-    NoiseSpec,
-    SimConfig,
     _build_session,
     generate_corpus,
 )
@@ -134,3 +133,15 @@ class TestGeneratedCorpus:
             has_presence = any(manifest.ground_truth.e_flag(t) for t in E_TASKS)
             if has_presence:
                 assert yes_by_session.get(manifest.session_id, 0) >= 1
+
+
+def test_fixtures_are_planned_at_the_runs_frame_rate(tmp_path, monkeypatch):
+    # the simulator reads the run's default window and frame rate, so a run at that rate finds every caption
+    monkeypatch.setattr(RunConfig, "fps", 2.0)
+    modes = (RefinementMode.ZERO_SHOT, RefinementMode.VIDEO_ONLY)
+    out = generate_corpus(SimConfig(seed=0, n_sessions=2, duration_s=64.0), tmp_path / "sim", modes=modes,
+                          chunk_lens=(16,))
+    report = run(RunConfig(corpus_dir=out.corpus_dir, taxonomy_path=out.taxonomy_path, report_dir=tmp_path / "report",
+                           fixtures_path=out.fixtures_path, modes=modes, fps=2.0))
+    assert report["failures"] == []
+    assert report["invalid_sessions"] == []
