@@ -21,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .corpus import read_jsonl
+from .corpus import InputError, read_jsonl
 from .windowing import TimedUtterance
 
 
@@ -64,8 +64,9 @@ class FixtureMissError(BackendError):
     pass
 
 
-class FixtureFileError(ValueError):
-    """A fixture record without a field of the fixture key, as files simulated by earlier versions are."""
+class FixtureFileError(InputError):
+    """A fixture file line that is not a fixture record: not a JSON object, without a field of the
+    fixture key (as files simulated by earlier versions are), or with a value of the wrong type."""
 
 
 class EndpointError(ValueError):
@@ -162,6 +163,8 @@ class FixtureStore:
         if frames is not None:
             key = (*head, held(frames, frames), prompt_hash)
         text = record["text"]
+        if type(text) is not str:
+            raise TypeError(f"text {text!r} is not a string")
         self._texts[key] = held(text, text)
 
     def __len__(self) -> int:
@@ -185,6 +188,8 @@ class FixtureStore:
             return cls(read_jsonl(path))
         except KeyError as exc:
             raise FixtureFileError(f"{path}: a fixture record has no {exc}; simulate the fixtures again") from None
+        except (ValueError, TypeError) as exc:  # a line that is not JSON, not an object, or a value of the wrong type
+            raise FixtureFileError(f"{path}: a line is not a fixture record: {exc}") from None
 
 
 class Backend(ABC):

@@ -12,7 +12,7 @@ import click
 
 from . import scoring, windowing
 from .config import BadSettingError, NoiseSpec, RunConfig, SimConfig
-from .corpus import TaskKind, load_corpus, load_taxonomy, replacing
+from .corpus import InputError, TaskKind, load_corpus, load_taxonomy, replacing
 from .prompting import RefinementMode, check_chunk_len
 
 _MODE_CHOICES = [m.value for m in RefinementMode]
@@ -29,7 +29,19 @@ _REPORT_KEYS = ("schema_version", "backend_id", "taxonomy", "taxonomy_labels", "
 _SCORING_KEYS = ("modes", "tasks", "chunk_lens", "min_activity_duration_s")
 
 
-@click.group()
+class _Commands(click.Group):
+    """The command group. An input no run can use (an ``InputError``, whichever reader
+    raised it) exits 2 with ``Error: <message>``, naming the file."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InputError as exc:
+            click.echo(f"Error: {exc}", err=True)
+            ctx.exit(2)
+
+
+@click.group(cls=_Commands)
 def main():
     """Session analysis pipeline over pluggable model backends."""
 
@@ -102,7 +114,7 @@ def _parse_multi(value: str, choices: list[str], what: str) -> tuple[str, ...]:
 def run_command(modes, tasks, chunk_lens, allow_partial, **options):
     """Run extraction, refinement, aggregation, and evaluation."""
     from . import orchestrator
-    from .backends import EndpointError, FixtureFileError
+    from .backends import EndpointError
 
     try:  # every other option's dest is a RunConfig field
         cfg = RunConfig(
@@ -115,9 +127,6 @@ def run_command(modes, tasks, chunk_lens, allow_partial, **options):
         raise _usage_error(exc) from None
     try:
         report = orchestrator.run(cfg)
-    except (orchestrator.DamagedJournalError, orchestrator.OldCacheLayoutError, FixtureFileError) as exc:
-        click.echo(f"Error: {exc}", err=True)
-        sys.exit(2)
     except EndpointError as exc:
         raise click.BadParameter(str(exc), param_hint="--endpoint") from None
     click.echo(f"report written to {cfg.report_dir}")
@@ -149,11 +158,7 @@ def evaluate(corpus_dir, taxonomy_path, predictions_path, report_dir):
     taxonomy = load_taxonomy(taxonomy_path)
     manifests = load_corpus(corpus_dir, taxonomy)
     with closing(scoring.Scorer(manifests, report_dir)) as scorer:
-        try:
-            scorer.read(predictions_path, taxonomy)
-        except scoring.BadPredictionsError as exc:  # not a prediction, or out of run order
-            click.echo(f"Error: {exc}", err=True)
-            sys.exit(2)
+        scorer.read(predictions_path, taxonomy)
         report = scoring.evaluate_predictions(manifests, taxonomy, scorer, run_info)
         scoring.write_report_files(report, scorer, report_dir)
     click.echo(f"report written to {report_dir}")
@@ -172,7 +177,7 @@ def _check_row(row: dict) -> None:
 
 def _read_run_report(path: Path) -> dict:
     """A run's report.json, with every top-level key, the scoring settings of its
-    config and the values report.md reads of each row; anything else exits 2, naming the file."""
+    config and the values report.md reads of each row; anything else is an InputError naming the file."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
@@ -197,8 +202,7 @@ def _read_run_report(path: Path) -> dict:
             except ValueError as exc:
                 raise ValueError(f"row {number}: {exc}") from None
     except (ValueError, TypeError) as exc:  # also a file that is not UTF-8, or a config that is no object
-        click.echo(f"Error: {path}: not a run's report: {exc}", err=True)
-        sys.exit(2)
+        raise InputError(f"{path}: not a run's report: {exc}") from None
     return doc
 
 

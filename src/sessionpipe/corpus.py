@@ -10,6 +10,7 @@ module reads and writes its line files with live here, in the lowest module.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -38,7 +39,11 @@ class DatasetKind(Enum):
     DIAGNOSTIC = "diagnostic"
 
 
-class CorpusError(Exception):
+class InputError(ValueError):
+    """A file a command reads that no run can use; the message names it."""
+
+
+class CorpusError(InputError):
     """Base class for corpus validation failures."""
 
 
@@ -151,8 +156,8 @@ class SessionManifest:
         sid = self.session_id
         if not sid:
             raise SchemaViolationError("<manifest>", "session_id", "must be non-empty")
-        if self.media_duration_s <= 0:
-            raise SchemaViolationError(sid, "media_duration_s", "must be > 0")
+        if not 0 < self.media_duration_s < math.inf:
+            raise SchemaViolationError(sid, "media_duration_s", "must be finite and > 0")
         gt = self.ground_truth
         if self.dataset is DatasetKind.NATURALISTIC and gt.session_activities is None:
             raise SchemaViolationError(sid, "session_activities", "required for naturalistic sessions")
@@ -196,8 +201,8 @@ def load_taxonomy(path: str | Path) -> ActivityTaxonomy:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"taxonomy file not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return taxonomy_from_dict(doc, where=str(path))
+    with _naming(path):
+        return taxonomy_from_dict(json.loads(path.read_text(encoding="utf-8")), where=str(path))
 
 
 def taxonomy_from_dict(doc: Any, where: str = "<taxonomy>") -> ActivityTaxonomy:
@@ -229,26 +234,33 @@ def save_taxonomy(taxonomy: ActivityTaxonomy, path: str | Path) -> None:
     Path(path).write_text(json.dumps(taxonomy_to_dict(taxonomy), indent=2) + "\n", encoding="utf-8")
 
 
-def _require(doc: dict, key: str, where: str) -> Any:
-    if key not in doc:
-        raise SchemaViolationError(where, key, "missing")
-    return doc[key]
+@contextmanager
+def _naming(path: Path) -> Iterator[None]:
+    """What reading and parsing ``path`` raises, as a CorpusError naming it; a CorpusError passes as raised."""
+    try:
+        yield
+    except CorpusError:
+        raise
+    except KeyError as exc:
+        raise CorpusError(f"{path}: field {exc}: missing") from None
+    except (OSError, ValueError, TypeError) as exc:  # unreadable, not JSON, or a value of the wrong type
+        raise CorpusError(f"{path}: {exc}") from None
 
 
 def manifest_from_dict(doc: Any, where: str = "<session>") -> SessionManifest:
     if not isinstance(doc, dict):
         raise SchemaViolationError(where, "<root>", "must be a JSON object")
-    session_id = _require(doc, "session_id", where)
+    session_id = doc["session_id"]
     where = session_id if isinstance(session_id, str) and session_id else where
-    dataset_raw = _require(doc, "dataset", where)
+    dataset_raw = doc["dataset"]
     try:
         dataset = DatasetKind(dataset_raw)
     except ValueError:
         raise SchemaViolationError(where, "dataset", f"unknown dataset kind {dataset_raw!r}") from None
-    duration = _require(doc, "media_duration_s", where)
+    duration = doc["media_duration_s"]
     if not isinstance(duration, (int, float)) or isinstance(duration, bool):
         raise SchemaViolationError(where, "media_duration_s", "must be a number")
-    gt_doc = _require(doc, "ground_truth", where)
+    gt_doc = doc["ground_truth"]
     if not isinstance(gt_doc, dict):
         raise SchemaViolationError(where, "ground_truth", "must be an object")
 
@@ -281,8 +293,8 @@ def manifest_from_dict(doc: Any, where: str = "<session>") -> SessionManifest:
         session_id=str(session_id),
         dataset=dataset,
         media_duration_s=float(duration),
-        video_ref=str(_require(doc, "video_ref", where)),
-        audio_ref=str(_require(doc, "audio_ref", where)),
+        video_ref=str(doc["video_ref"]),
+        audio_ref=str(doc["audio_ref"]),
         ground_truth=GroundTruth(
             session_activities=activities,
             activity_timeline=timeline,
@@ -347,17 +359,19 @@ def load_corpus(corpus_dir: str | Path, taxonomy: ActivityTaxonomy) -> list[Sess
     index_path = corpus_dir / "index.json"
     if not index_path.exists():
         if any(corpus_dir.iterdir()):
-            raise FileNotFoundError(f"no index.json in non-empty corpus directory: {corpus_dir}")
+            raise CorpusError(f"no index.json in non-empty corpus directory: {corpus_dir}")
         return []
-    index = json.loads(index_path.read_text(encoding="utf-8"))
-    if not isinstance(index, dict) or not isinstance(index.get("sessions"), list):
-        raise SchemaViolationError(str(index_path), "sessions", "index must contain a 'sessions' list")
+    with _naming(index_path):
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    sessions = index.get("sessions") if isinstance(index, dict) else None
+    if not isinstance(sessions, list) or not all(isinstance(rel, str) for rel in sessions):
+        raise SchemaViolationError(str(index_path), "sessions", "index must contain a 'sessions' list of paths")
 
     manifests = []
     seen_ids: set[str] = set()
-    for rel in index["sessions"]:
-        doc = json.loads((corpus_dir / rel).read_text(encoding="utf-8"))
-        manifest = manifest_from_dict(doc, where=str(rel))
+    for rel in sessions:
+        with _naming(corpus_dir / rel):
+            manifest = manifest_from_dict(json.loads((corpus_dir / rel).read_text(encoding="utf-8")), where=rel)
         if manifest.session_id in seen_ids:
             raise SchemaViolationError(manifest.session_id, "session_id", "duplicate session_id in corpus")
         seen_ids.add(manifest.session_id)

@@ -37,7 +37,7 @@ from .backends import (
     parse_utterances_json,
 )
 from .config import RunConfig
-from .corpus import ACTIVITY_TASKS, SORTED_JSON, ActivityTaxonomy, load_corpus, load_taxonomy, read_jsonl
+from .corpus import ACTIVITY_TASKS, SORTED_JSON, ActivityTaxonomy, InputError, load_corpus, load_taxonomy, read_jsonl
 from .http_backend import HttpChatBackend
 from .parsing import parse_binary, parse_label
 from .planning import PlannedUnit, plan_extraction, plan_units, transcript_chunks
@@ -58,11 +58,11 @@ def cache_key(backend_id: str, request: BackendRequest) -> str:
     return hashlib.sha256(ascii((backend_id, *identity(request), _DECODING)).encode()).hexdigest()
 
 
-class DamagedJournalError(ValueError):
+class DamagedJournalError(InputError):
     """A whole journal line is not a JSON object with a cache key and a string text."""
 
 
-class OldCacheLayoutError(ValueError):
+class OldCacheLayoutError(InputError):
     """The cache directory holds journals of an older key schema, which no run can reuse."""
 
 

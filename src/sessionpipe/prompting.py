@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from enum import Enum
 from pathlib import Path
+from string import Formatter
 from typing import Sequence
 
-from .corpus import ACTIVITY_TASKS, ActivityTaxonomy, TaskKind
+from .corpus import ACTIVITY_TASKS, ActivityTaxonomy, InputError, TaskKind
 
 
 class RefinementMode(Enum):
@@ -40,15 +41,7 @@ def check_chunk_len(mode: RefinementMode, chunk_len: object) -> None:
                          "a positive integer iff the mode reads a transcript")
 
 
-class PromptingError(ValueError):
-    pass
-
-
-class MissingCaptionError(PromptingError):
-    pass
-
-
-class MissingTranscriptError(PromptingError):
+class PromptingError(InputError):
     pass
 
 
@@ -143,9 +136,14 @@ def template_key(task: TaskKind, mode: RefinementMode) -> str:
     return f"{kind}.{mode.value}"
 
 
+# build_task_prompt's placeholders, as ``Formatter().parse`` reads them: plain, with no conversion or format spec
+_PLACEHOLDERS = {(name, "", None) for name in ("labels", "caption", "transcript", "rubric")}
+
+
 def load_templates(template_dir: str | Path) -> dict[str, str]:
     """Override task-prompt defaults with ``<key>.txt`` files from a directory.
-    Other names fail, the fixed ``description`` and ``transcription`` too."""
+    Other names fail, the fixed ``description`` and ``transcription`` too, and so
+    does a file with no text of its own or a placeholder build_task_prompt does not fill."""
     templates = dict(DEFAULT_TEMPLATES)
     template_dir = Path(template_dir)
     if not template_dir.is_dir():
@@ -154,17 +152,17 @@ def load_templates(template_dir: str | Path) -> dict[str, str]:
         key = path.stem
         if key not in templates:
             raise PromptingError(f"unknown template name '{key}' in {template_dir}")
-        templates[key] = path.read_text(encoding="utf-8").rstrip("\n")
+        try:
+            text = path.read_text(encoding="utf-8").rstrip("\n")
+            parts = list(Formatter().parse(text))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or a stray brace
+            raise PromptingError(f"{path}: {exc}") from None
+        placeholders = {(name, spec, conv) for _, name, spec, conv in parts if name is not None}
+        if not any(literal.strip() for literal, *_ in parts) or not placeholders <= _PLACEHOLDERS:
+            raise PromptingError(f"{path}: a template needs text of its own and no placeholder but "
+                                 "{labels}, {caption}, {transcript} and {rubric}")
+        templates[key] = text
     return templates
-
-
-def _check_evidence(mode: RefinementMode, caption: str | None, transcript: str | None) -> None:
-    for text, modes, what, missing in ((caption, CAPTION_MODES, "caption", MissingCaptionError),
-                                       (transcript, TRANSCRIPT_MODES, "transcript", MissingTranscriptError)):
-        if mode in modes and text is None:
-            raise missing(f"mode {mode.value} requires a {what}")
-        if mode not in modes and text is not None:
-            raise PromptingError(f"mode {mode.value} does not take a {what}")
 
 
 def build_task_prompt(
@@ -176,7 +174,6 @@ def build_task_prompt(
     templates: dict[str, str] | None = None,
 ) -> str:
     """Render the refinement prompt for one (mode, task) on one window."""
-    _check_evidence(mode, caption, transcript)
     templates = templates if templates is not None else DEFAULT_TEMPLATES
     template = templates[template_key(task, mode)]
     return template.format(

@@ -17,14 +17,14 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import aggregation, metrics
-from .corpus import SORTED_JSON, ActivityTaxonomy, SessionManifest, TaskKind, replacing
+from .corpus import SORTED_JSON, ActivityTaxonomy, InputError, SessionManifest, TaskKind, replacing
 from .prompting import RefinementMode, chunk_options
 from .windowing import Segment
 
 _SEGMENTATION = TaskKind.ACTIVITY_SEGMENTATION.value
 
 
-class BadPredictionsError(ValueError):
+class BadPredictionsError(InputError):
     """A predictions.jsonl line that cannot be scored."""
 
 
@@ -81,21 +81,25 @@ class Scorer:
         """Add every prediction of a predictions.jsonl file, each checked by
         ``aggregation.check_prediction`` and taken as it is. A line that is not a
         prediction record raises BadPredictionsError, and one out of run order
-        OutOfOrderError; both name the file and the line."""
+        OutOfOrderError; both name the file and the line. A file that is not UTF-8
+        raises BadPredictionsError too."""
         with open(path, encoding="utf-8") as fh:
-            for number, line in enumerate(fh, 1):
-                if line.strip():
-                    try:
-                        record = json.loads(line)
-                        aggregation.check_prediction(record, taxonomy)
-                    except KeyError as exc:
-                        raise BadPredictionsError(f"{path}: line {number} has no field {exc}") from None
-                    except (ValueError, TypeError) as exc:  # not JSON, not an object, or a bad value
-                        raise BadPredictionsError(f"{path}: line {number} is not a prediction: {exc}") from None
-                    try:
-                        self.add(record)
-                    except OutOfOrderError as exc:
-                        raise OutOfOrderError(f"{path}: line {number} is out of run order: {exc}") from None
+            try:
+                for number, line in enumerate(fh, 1):
+                    if line.strip():
+                        try:
+                            record = json.loads(line)
+                            aggregation.check_prediction(record, taxonomy)
+                        except KeyError as exc:
+                            raise BadPredictionsError(f"{path}: line {number} has no field {exc}") from None
+                        except (ValueError, TypeError) as exc:  # not JSON, not an object, or a bad value
+                            raise BadPredictionsError(f"{path}: line {number} is not a prediction: {exc}") from None
+                        try:
+                            self.add(record)
+                        except OutOfOrderError as exc:
+                            raise OutOfOrderError(f"{path}: line {number} is out of run order: {exc}") from None
+            except UnicodeDecodeError as exc:  # raised by the file's read, between lines
+                raise BadPredictionsError(f"{path}: not UTF-8 text: {exc}") from None
 
     def write_predictions(self, path: Path) -> None:
         """predictions.jsonl: the spill files joined in group order."""

@@ -7,6 +7,7 @@ trailing partial window is kept iff it is at least half a window long, so a
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -31,6 +32,8 @@ class TimedUtterance:
     text: str
 
     def __post_init__(self):
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise ValueError(f"utterance times {self.start_s} and {self.end_s} are not both finite")
         if self.start_s > self.end_s:
             raise ValueError(f"utterance has start {self.start_s} > end {self.end_s}")
 

@@ -3,6 +3,7 @@ import gzip
 import http.client
 import io
 import json
+import math
 import socket
 import ssl
 import threading
@@ -52,6 +53,9 @@ from sessionpipe.windowing import TimedUtterance
 
 
 MEDIA = {Role.CAPTIONER: "v", Role.TRANSCRIBER: "a", Role.REASONER: None}  # what these tests' requests carry
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def fixture_key(role, session_id, seg, prompt):
@@ -160,6 +164,17 @@ class TestTranscribe:
     def test_non_json_rejected(self):
         with pytest.raises(UnparseableTimestampsError):
             parse_utterances_json("it was a dark and stormy night")
+
+    @given(before=st.lists(st.tuples(st.floats(), st.floats()), max_size=3),
+           bad=st.one_of(st.tuples(NON_FINITE, st.floats()), st.tuples(st.floats(), NON_FINITE)),
+           after=st.lists(st.tuples(st.floats(), st.floats()), max_size=3), as_strings=st.booleans())
+    def test_a_time_that_is_not_finite_is_refused(self, before, bad, after, as_strings):
+        # NaN passes the order check (every comparison with it is false), so it is refused on its own
+        written = str if as_strings else float  # JSON's NaN and Infinity tokens, or "nan" and "inf" strings
+        text = json.dumps([{"start_s": written(start), "end_s": written(end), "text": "x"}
+                           for start, end in [*before, bad, *after]])
+        with pytest.raises(UnparseableTimestampsError):
+            parse_utterances_json(text)
 
     def test_roundtrip(self):
         utterances = [TimedUtterance(0.5, 2.25, "hello there")]

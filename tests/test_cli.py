@@ -106,6 +106,106 @@ def test_run_refuses_fixtures_without_a_key_field(runner, sim_tree, tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("line", ["not json", "[1, 2]", json.dumps(
+    {"role": "reasoner", "session_id": "sim-000", "segment_index": 0, "media_ref": None, "frame_timestamps_s": None,
+     "prompt_hash": "0" * 64, "text": 5})], ids=["not_json", "not_an_object", "text_not_a_string"])
+def test_run_refuses_a_fixture_line_that_is_not_a_record(runner, sim_tree, tmp_path, line):
+    fixtures = tmp_path / "damaged.jsonl"
+    fixtures.write_text((sim_tree / "fixtures.jsonl").read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    result = runner.invoke(main, _run_args(sim_tree, tmp_path, **{"--fixtures": str(fixtures)}))
+    assert result.exit_code == 2
+    assert f"Error: {fixtures}: a line is not a fixture record: " in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report" / "cache" / JOURNAL_NAME).exists()  # nothing was answered
+
+
+def _json_edit(edit):
+    """A damage that edits a file's JSON document in place."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)  # a float NaN goes out as the NaN token, which json.loads reads back
+    return damage
+
+
+def _first_entry(doc):
+    return doc["ground_truth"]["activity_timeline"][0]
+
+
+# (a file under the corpus directory, its damage, the message after "Error: ")
+BAD_CORPUS_FILES = [
+    ("index.json", lambda text: text[:20], "{path}: Expecting value"),
+    ("sessions/sim-001.json", lambda text: text[:16], "{path}: Expecting value"),
+    ("taxonomy.json", lambda text: text[:10], "{path}: Expecting"),
+    ("sessions/sim-009.json", None, "{path}: [Errno 2] No such file or directory"),  # listed, not written
+    ("sessions/sim-001.json", _json_edit(lambda doc: _first_entry(doc).update(start_s="abc")),
+     "{path}: could not convert string to float: 'abc'"),
+    ("sessions/sim-001.json", _json_edit(lambda doc: doc["ground_truth"].update(activity_timeline=5)),
+     "{path}: 'int' object is not iterable"),
+    ("sessions/sim-001.json", _json_edit(lambda doc: doc.pop("video_ref")), "{path}: field 'video_ref': missing"),
+    ("sessions/sim-001.json", _json_edit(lambda doc: doc.update(media_duration_s=float("nan"))),
+     "sim-001: field 'media_duration_s': must be finite and > 0"),
+    ("sessions/sim-001.json", _json_edit(lambda doc: doc.update(media_duration_s=float("inf"))),
+     "sim-001: field 'media_duration_s': must be finite and > 0"),
+    # a gold label the taxonomy lacks, and two labels equal when normalized
+    ("sessions/sim-001.json", _json_edit(lambda doc: _first_entry(doc).update(label="juggling")),
+     "sim-001: label 'juggling' is not in the taxonomy"),
+    ("taxonomy.json", _json_edit(lambda doc: doc["labels"].append("Toy-Play")),
+     "taxonomy 'synthetic-play-6': labels 'toy play' and 'Toy-Play' are equal when normalized"),
+]
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("name,damage,message", BAD_CORPUS_FILES, ids=[
+    "index_not_json", "session_not_json", "taxonomy_not_json", "session_file_missing", "start_s_not_a_number",
+    "timeline_not_a_list", "video_ref_missing", "duration_nan", "duration_inf", "label_not_in_taxonomy",
+    "labels_equal_when_normalized"])
+def test_a_corpus_file_no_run_can_use_is_refused_naming_it(runner, sim_tree, tmp_path, command, name, damage,
+                                                            message):
+    if command == "evaluate":
+        assert runner.invoke(main, _run_args(sim_tree, tmp_path / "before")).exit_code == 0
+    path = sim_tree / "corpus" / name
+    if damage is None:
+        index = json.loads((sim_tree / "corpus" / "index.json").read_text(encoding="utf-8"))
+        (sim_tree / "corpus" / "index.json").write_text(json.dumps({"sessions": [*index["sessions"], name]}))
+    else:
+        path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    args = (_run_args(sim_tree, tmp_path) if command == "run" else
+            _evaluate_args(sim_tree, tmp_path / "before" / "report" / "predictions.jsonl", tmp_path / "report"))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"Error: {message.format(path=path)}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report").exists()
+
+
+# (the file's name, its text or None for a directory, the message after "Error: ")
+TEMPLATES_NO_RUN_CAN_USE = {
+    "unknown_field": ("activity_recognition.multimodal", "Pick one:\n{labels}\nSeen: {foo}", "{path}: "),
+    "empty": ("activity_recognition.multimodal", "", "{path}: "),
+    "stray_brace": ("activity_recognition.multimodal", "Pick one:\n{labels\n", "{path}: "),
+    "no_text_of_its_own": ("activity_recognition.multimodal", "{labels}\n{caption}", "{path}: "),
+    "format_spec": ("binary.multimodal", "Is there {rubric:d}?", "{path}: "),
+    "unknown_name": ("mystery", "Pick one:\n{labels}", "unknown template name 'mystery' in {path.parent}"),
+    "a_directory": ("binary.multimodal", None, "{path}: [Errno 21] Is a directory"),
+}
+
+
+@pytest.mark.parametrize("name,text,message", TEMPLATES_NO_RUN_CAN_USE.values(), ids=TEMPLATES_NO_RUN_CAN_USE.keys())
+def test_a_template_no_run_can_use_is_refused_before_any_request(runner, sim_tree, tmp_path, name, text, message):
+    template = tmp_path / "templates" / f"{name}.txt"
+    template.parent.mkdir()
+    if text is None:
+        template.mkdir()
+    else:
+        template.write_text(text, encoding="utf-8")
+    result = runner.invoke(main, _run_args(sim_tree, tmp_path, **{"--template-dir": str(template.parent)}))
+    assert result.exit_code == 2
+    assert f"Error: {message.format(path=template)}" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report").exists()  # no report, and no journal line
+
+
 @pytest.mark.parametrize("endpoint,message", [
     ("localhost", "No scheme supplied"),
     ("localhost:8000", "No connection adapters were found"),  # parsed as the scheme "localhost"
@@ -284,6 +384,17 @@ def test_evaluate_names_a_line_that_is_not_a_prediction(runner, sim_tree, tmp_pa
     result = runner.invoke(main, _evaluate_args(sim_tree, predictions, tmp_path / "rescored"))
     assert result.exit_code == 2
     assert f"Error: {predictions}: line 3 {message}" in result.output
+    assert "Traceback" not in result.output
+    assert list((tmp_path / "rescored").iterdir()) == []
+
+
+def test_evaluate_refuses_predictions_that_are_not_utf8(runner, sim_tree, tmp_path):
+    assert runner.invoke(main, _run_args(sim_tree, tmp_path)).exit_code == 0
+    predictions = tmp_path / "report" / "predictions.jsonl"
+    predictions.write_bytes(predictions.read_bytes() + b'{"raw": "\xff"}\n')
+    result = runner.invoke(main, _evaluate_args(sim_tree, predictions, tmp_path / "rescored"))
+    assert result.exit_code == 2
+    assert f"Error: {predictions}: not UTF-8 text: " in result.output
     assert "Traceback" not in result.output
     assert list((tmp_path / "rescored").iterdir()) == []
 

@@ -5,6 +5,7 @@ import pytest
 
 from sessionpipe.corpus import (
     ActivityTaxonomy,
+    CorpusError,
     DanglingAliasError,
     DatasetKind,
     DuplicateLabelError,
@@ -148,6 +149,12 @@ class TestCorpusIO:
     def test_missing_directory(self, tmp_path, taxonomy):
         with pytest.raises(FileNotFoundError):
             load_corpus(tmp_path / "missing", taxonomy)
+
+    def test_a_non_empty_directory_without_an_index_is_refused(self, tmp_path, taxonomy, naturalistic_manifest):
+        write_corpus([naturalistic_manifest], tmp_path)
+        (tmp_path / "index.json").unlink()
+        with pytest.raises(CorpusError, match="no index.json in non-empty corpus directory"):
+            load_corpus(tmp_path, taxonomy)
 
     def test_load_is_deterministic(self, tmp_path, taxonomy, diagnostic_manifest, naturalistic_manifest):
         write_corpus([diagnostic_manifest, naturalistic_manifest], tmp_path)

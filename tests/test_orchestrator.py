@@ -29,13 +29,16 @@ from sessionpipe.backends import (
     identity,
 )
 from sessionpipe.config import NoiseSpec, RunConfig, SimConfig
-from sessionpipe.corpus import TaskKind, load_corpus, load_taxonomy, read_jsonl, write_corpus
+from sessionpipe.corpus import (ActivityTaxonomy, DatasetKind, GroundTruth, SessionManifest, TaskKind, load_corpus, load_taxonomy,
+                               read_jsonl, write_corpus)
 from sessionpipe.fixture_server import FixtureChatServer
 from sessionpipe.orchestrator import JOURNAL_NAME, ResponseCache, load_predictions, run
-from sessionpipe.prompting import DESCRIPTION_PROMPT, TRANSCRIPTION_PROMPT, RefinementMode
+from sessionpipe.planning import plan_units, transcript_chunks
+from sessionpipe.prompting import (CAPTION_MODES, DESCRIPTION_PROMPT, TRANSCRIPT_MODES, TRANSCRIPTION_PROMPT,
+                                   RefinementMode)
 from sessionpipe.scoring import report_row
 from sessionpipe.simulator import generate_corpus
-from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, UnsupportedChunkLengthError
+from sessionpipe.windowing import SUPPORTED_CHUNK_LENGTHS, TimedUtterance, UnsupportedChunkLengthError, plan_segments
 
 from .faults import EchoBackend, FaultyBackend, Killed
 
@@ -719,3 +722,28 @@ def test_run_requests_exactly_the_simulated_fixtures(seed, n_sessions, duration_
         journal = cfg.cache_dir / JOURNAL_NAME  # made by the first answer, so absent if none was sent
         requested = _fixture_keys(journal) if journal.exists() else set()
         assert requested == _fixture_keys(out.fixtures_path)
+
+
+@given(failed_captions=st.sets(st.integers(min_value=0, max_value=9)), transcript_failed=st.booleans(),
+       duration_s=st.integers(min_value=8, max_value=160))
+@settings(max_examples=40, deadline=None)
+def test_a_unit_carries_the_evidence_its_mode_reads_and_no_other(failed_captions, transcript_failed, duration_s):
+    """build_task_prompt takes the planner's evidence unchecked: a caption exactly in CAPTION_MODES, a
+    transcript exactly in TRANSCRIPT_MODES, whichever captions or transcript failed to extract."""
+    manifest = SessionManifest("s", DatasetKind.NATURALISTIC, float(duration_s), "v", "a",
+                               GroundTruth(session_activities=frozenset()))
+    segments = plan_segments(manifest.media_duration_s, 16.0, 1.0, session_id="s")
+    captions = {seg.index: f"caption {seg.index}" for seg in segments if seg.index not in failed_captions}
+    chunks = {} if transcript_failed else transcript_chunks(
+        manifest, [TimedUtterance(1.0, 3.0, "hello"), TimedUtterance(40.0, 41.0, "")], SUPPORTED_CHUNK_LENGTHS)
+    units = list(plan_units(manifest, segments, captions, chunks, ALL_MODES, tuple(TaskKind), SUPPORTED_CHUNK_LENGTHS,
+                            ActivityTaxonomy("t", ("toy play", "singing")), None, None))
+    for unit in units:
+        assert (unit.caption is not None) == (unit.mode in CAPTION_MODES)
+        assert (unit.transcript is not None) == (unit.mode in TRANSCRIPT_MODES)
+        if unit.mode in CAPTION_MODES:
+            assert unit.caption == captions[unit.window.index]
+    planned = {unit.mode for unit in units}
+    assert RefinementMode.ZERO_SHOT in planned
+    assert (RefinementMode.VIDEO_ONLY in planned) == bool(captions)
+    assert (RefinementMode.MULTIMODAL in planned) == bool(captions and not transcript_failed)

@@ -10,8 +10,6 @@ from sessionpipe.prompting import (
     DESCRIPTION_PROMPT,
     TRANSCRIPT_MODES,
     TRANSCRIPTION_PROMPT,
-    MissingCaptionError,
-    MissingTranscriptError,
     PromptingError,
     RefinementMode,
     build_task_prompt,
@@ -90,18 +88,6 @@ class TestTaskPromptContract:
             RefinementMode.VIDEO_ONLY, TaskKind.ACTIVITY_SEGMENTATION, "cap", None, taxonomy
         )
         assert prompt.endswith("Answer with exactly one label from the list.")
-
-    def test_missing_caption(self, taxonomy):
-        with pytest.raises(MissingCaptionError):
-            build_task_prompt(RefinementMode.VIDEO_ONLY, TaskKind.ACTIVITY_RECOGNITION, None, None, taxonomy)
-
-    def test_missing_transcript(self, taxonomy):
-        with pytest.raises(MissingTranscriptError):
-            build_task_prompt(RefinementMode.MULTIMODAL, TaskKind.ACTIVITY_RECOGNITION, "cap", None, taxonomy)
-
-    def test_unexpected_evidence_rejected(self, taxonomy):
-        with pytest.raises(PromptingError):
-            build_task_prompt(RefinementMode.ZERO_SHOT, TaskKind.ACTIVITY_RECOGNITION, "cap", None, taxonomy)
 
     def test_injection_contained_to_blocks(self, taxonomy):
         sentinel_cap = "CAPTION_SENTINEL {labels} {rubric}"
